@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Moving customers: snapshots, safe regions, and a day of assignments.
+"""Moving customers: O-AFA over a stream whose customers relocate.
 
 Section II defines MUAA over the customer set *at a timestamp*; real
-customers move.  This example builds a moving world (random-waypoint
-trajectories over a static vendor city), shows how CALBA-style safe
-regions keep the continuous "which vendors can reach me?" query cheap,
-and solves an hourly sequence of MUAA snapshots to show how assignment
-opportunities shift with the time of day (diurnal tag activity).
+customers move (AdCell, arXiv:1112.5396).  The trajectory scenario
+draws seeded random-walk moves keyed by arrival tick, and the online
+simulator applies each one through ``MUAAProblem.move_customer`` just
+before that customer is decided, so candidate ranges follow the walk.
+This example streams the same day at growing move rates and compares
+the served utility with the static stream.
 
 Run:
     python examples/moving_customers.py
@@ -14,108 +15,48 @@ Run:
 
 from __future__ import annotations
 
-import time as _time
-
-import numpy as np
-
-from repro import Vendor, Customer, default_ad_types
-from repro.algorithms.greedy import GreedyEfficiency
-from repro.taxonomy import foursquare_taxonomy, interest_vector, vendor_vector
-from repro.temporal import (
-    SafeRegionTracker,
-    TemporalWorld,
-    brute_force_valid_vendors,
-    trajectories_for,
+from repro import (
+    OnlineAdaptiveFactorAware,
+    WorkloadConfig,
+    calibrate_from_problem,
+    synthetic_problem,
 )
-from repro.utility.activity import ActivityModel
-
-
-def build_world(n_customers=60, n_vendors=120, seed=5) -> TemporalWorld:
-    tax = foursquare_taxonomy()
-    rng = np.random.default_rng(seed)
-    leaves = tax.leaves()
-    customers = [
-        Customer(
-            customer_id=i,
-            location=(0.0, 0.0),
-            capacity=2,
-            view_probability=float(rng.uniform(0.2, 0.6)),
-            interests=interest_vector(
-                tax,
-                {
-                    leaves[int(c)]: int(n)
-                    for c, n in zip(
-                        rng.choice(len(leaves), size=4, replace=False),
-                        rng.integers(1, 6, size=4),
-                    )
-                },
-            ),
-        )
-        for i in range(n_customers)
-    ]
-    vendors = [
-        Vendor(
-            vendor_id=j,
-            location=(float(rng.uniform()), float(rng.uniform())),
-            radius=float(rng.uniform(0.05, 0.12)),
-            budget=8.0,
-            tags=vendor_vector(tax, leaves[int(rng.integers(len(leaves)))]),
-        )
-        for j in range(n_vendors)
-    ]
-    return TemporalWorld(
-        customers=customers,
-        trajectories=trajectories_for(n_customers, seed=seed),
-        vendors=vendors,
-        ad_types=list(default_ad_types()),
-        activity_model=ActivityModel.diurnal(tax),
-    )
-
-
-def demo_safe_regions(world: TemporalWorld) -> None:
-    print("Continuous valid-vendor queries (1,200 ticks x 60 customers):")
-    ticks = np.linspace(0.0, 24.0, 1_200)
-
-    start = _time.perf_counter()
-    tracker = SafeRegionTracker(world.vendors)
-    for t in ticks:
-        for cid, trajectory in enumerate(world.trajectories):
-            tracker.valid_vendors(cid, trajectory.position(float(t)))
-    tracked = _time.perf_counter() - start
-
-    start = _time.perf_counter()
-    for t in ticks[:: 10]:  # brute force is slow; sample a tenth
-        for trajectory in world.trajectories:
-            brute_force_valid_vendors(
-                world.vendors, trajectory.position(float(t))
-            )
-    brute = (_time.perf_counter() - start) * 10
-
-    print(f"  safe regions: {tracked:.2f}s "
-          f"(hit rate {tracker.stats.hit_rate:.1%})")
-    print(f"  full rescans: ~{brute:.2f}s  "
-          f"-> {brute / tracked:.1f}x saved")
-
-
-def demo_daily_snapshots(world: TemporalWorld) -> None:
-    print("\nHourly MUAA snapshots (GREEDY per snapshot):")
-    results = world.solve_over_day(
-        GreedyEfficiency, times=[float(h) for h in range(0, 24, 3)]
-    )
-    print("  hour   ads   utility")
-    for hour, result in results:
-        bar = "#" * int(result.total_utility / 20)
-        print(f"  {int(hour):02d}:00 {len(result.assignment):5d} "
-              f"{result.total_utility:9.2f}  {bar}")
-    peak_hour, peak = max(results, key=lambda tr: tr[1].total_utility)
-    print(f"  peak at {int(peak_hour):02d}:00 "
-          f"(diurnal tag activity shifts which pairs are attractive)")
+from repro.datagen.config import ParameterRange
+from repro.scenario import TrajectoryScenario
+from repro.stream import OnlineSimulator
 
 
 def main() -> None:
-    world = build_world()
-    demo_safe_regions(world)
-    demo_daily_snapshots(world)
+    problem = synthetic_problem(
+        WorkloadConfig(
+            n_customers=2_000,
+            n_vendors=100,
+            radius_range=ParameterRange(0.03, 0.06),
+            budget_range=ParameterRange(8.0, 15.0),
+            seed=5,
+        )
+    )
+    bounds = calibrate_from_problem(problem, seed=0)
+    simulator = OnlineSimulator(problem)
+
+    def stream(moves=None):
+        algorithm = OnlineAdaptiveFactorAware(
+            gamma_min=bounds.gamma_min, g=bounds.g
+        )
+        return simulator.run(algorithm, measure_latency=False, moves=moves)
+
+    static = stream()
+    print("O-AFA over 2,000 arrivals, customers walking mid-stream:")
+    print("  move rate  moves   ads   utility  vs static")
+    print(f"  {'static':>9} {0:6d} {len(static.assignment):5d} "
+          f"{static.total_utility:9.2f}")
+    for fraction in (0.1, 0.25, 0.5, 1.0):
+        run = TrajectoryScenario(move_fraction=fraction).realize(problem, seed=5)
+        result = stream(run.moves)
+        ratio = result.total_utility / static.total_utility
+        print(f"  {fraction:9.2f} {len(run.moves):6d} "
+              f"{len(result.assignment):5d} {result.total_utility:9.2f}"
+              f"  {ratio:8.3f}")
 
 
 if __name__ == "__main__":

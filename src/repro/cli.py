@@ -86,12 +86,21 @@ def _build_parser() -> argparse.ArgumentParser:
                  "identical at any value)",
         )
 
-    def add_shards(command) -> None:
+    def add_workload(command, customers: int, vendors: int) -> None:
+        command.add_argument("--customers", type=int, default=customers)
+        command.add_argument("--vendors", type=int, default=vendors)
+        command.add_argument("--seed", type=int, default=7)
+
+    def add_shards(
+        command,
+        default: int = 1,
+        help: str = "spatial shards for the solvers (default 1 = "
+                    "unsharded; peak memory becomes the largest shard; "
+                    "total utility matches unsharded to within 1e-9)",
+    ) -> None:
         command.add_argument(
-            "--shards", "-s", type=int, default=1, metavar="S",
-            help="spatial shards for the solvers (default 1 = "
-                 "unsharded; peak memory becomes the largest shard; "
-                 "total utility matches unsharded to within 1e-9)",
+            "--shards", "-s", type=int, default=default, metavar="S",
+            help=help,
         )
 
     def add_obs(command) -> None:
@@ -107,14 +116,18 @@ def _build_parser() -> argparse.ArgumentParser:
                  "histograms) as JSON",
         )
 
-    def add_artifact(command) -> None:
+    def add_artifact(
+        command,
+        help: str = "engine artifact cache directory: problems "
+                    "warm-load their engine from a matching artifact "
+                    "(mmap, no re-scoring) and persist freshly built "
+                    "ones for the next run; entries are "
+                    "fingerprint-keyed so a stale artifact is never "
+                    "used (see docs/scale.md)",
+    ) -> None:
         command.add_argument(
             "--artifact", type=str, default=None, metavar="DIR",
-            help="engine artifact cache directory: problems warm-load "
-                 "their engine from a matching artifact (mmap, no "
-                 "re-scoring) and persist freshly built ones for the "
-                 "next run; entries are fingerprint-keyed so a stale "
-                 "artifact is never used (see docs/scale.md)",
+            help=help,
         )
 
     def add_dtype(command) -> None:
@@ -126,9 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     demo = sub.add_parser("demo", help="run the algorithm panel once")
-    demo.add_argument("--customers", type=int, default=2_000)
-    demo.add_argument("--vendors", type=int, default=150)
-    demo.add_argument("--seed", type=int, default=7)
+    add_workload(demo, customers=2_000, vendors=150)
     from repro.scenario import DEFAULT_SCENARIO, scenario_names
 
     demo.add_argument(
@@ -168,16 +179,12 @@ def _build_parser() -> argparse.ArgumentParser:
     calibrate = sub.add_parser(
         "calibrate", help="estimate gamma_min/gamma_max/g for a workload"
     )
-    calibrate.add_argument("--customers", type=int, default=2_000)
-    calibrate.add_argument("--vendors", type=int, default=150)
-    calibrate.add_argument("--seed", type=int, default=7)
+    add_workload(calibrate, customers=2_000, vendors=150)
 
     bounds = sub.add_parser(
         "bounds", help="upper bounds and certified optimality gaps"
     )
-    bounds.add_argument("--customers", type=int, default=1_000)
-    bounds.add_argument("--vendors", type=int, default=80)
-    bounds.add_argument("--seed", type=int, default=7)
+    add_workload(bounds, customers=1_000, vendors=80)
 
     reproduce = sub.add_parser(
         "reproduce",
@@ -200,9 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser(
         "stats", help="print the instance card of a workload"
     )
-    stats.add_argument("--customers", type=int, default=2_000)
-    stats.add_argument("--vendors", type=int, default=150)
-    stats.add_argument("--seed", type=int, default=7)
+    add_workload(stats, customers=2_000, vendors=150)
     stats.add_argument(
         "--checkins", action="store_true",
         help="use the check-in workload instead of the synthetic one",
@@ -226,11 +231,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the async micro-batching serving front-end over a "
              "seeded open-loop arrival stream",
     )
-    serving.add_argument("--customers", type=int, default=1_000)
-    serving.add_argument("--vendors", type=int, default=100)
-    serving.add_argument("--seed", type=int, default=7)
-    serving.add_argument(
-        "--shards", "-s", type=int, default=1, metavar="S",
+    add_workload(serving, customers=1_000, vendors=100)
+    add_shards(
+        serving,
         help="route requests across S shard views (default 1 = "
              "unsharded; decisions match the unsharded stream)",
     )
@@ -273,8 +276,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--deadline-ms", type=float, default=None,
         help="per-request deadline; late work is dropped, not served",
     )
-    serving.add_argument(
-        "--artifact", type=str, default=None, metavar="DIR",
+    add_artifact(
+        serving,
         help="with --shards S > 1: a sharded store written by `repro "
              "build-artifact --shards S`; only shards a batch routes "
              "to are demand-paged from mmap.  With --shards 1: a "
@@ -287,11 +290,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="serve a synthetic arrival stream through the "
              "process-per-shard cluster",
     )
-    serve.add_argument("--customers", type=int, default=1_000)
-    serve.add_argument("--vendors", type=int, default=100)
-    serve.add_argument("--seed", type=int, default=7)
-    serve.add_argument(
-        "--shards", "-s", type=int, default=4, metavar="S",
+    add_workload(serve, customers=1_000, vendors=100)
+    add_shards(
+        serve, default=4,
         help="worker count (one shard and one worker per shard)",
     )
     serve.add_argument(
@@ -317,8 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--churn-seed", type=int, default=None, metavar="SEED",
         help="seed of the churn event stream (default: --seed)",
     )
-    serve.add_argument(
-        "--artifact", type=str, default=None, metavar="DIR",
+    add_artifact(
+        serve,
         help="sharded artifact store written by `repro build-artifact "
              "--shards S` (plan.json + shard-NNNN.cols): workers boot "
              "their shard engine from the mapped file instead of "
@@ -330,9 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "build-artifact",
         help="pre-build engine artifacts for a synthetic workload",
     )
-    build.add_argument("--customers", type=int, default=2_000)
-    build.add_argument("--vendors", type=int, default=150)
-    build.add_argument("--seed", type=int, default=7)
+    add_workload(build, customers=2_000, vendors=150)
     build.add_argument(
         "--radius", type=float, nargs=2, default=(0.03, 0.06),
         metavar=("LO", "HI"),
@@ -341,8 +340,8 @@ def _build_parser() -> argparse.ArgumentParser:
              "uses 0.15 0.25)",
     )
     add_dtype(build)
-    build.add_argument(
-        "--shards", "-s", type=int, default=1, metavar="S",
+    add_shards(
+        build,
         help="1 (default) writes one fingerprint-keyed engine artifact "
              "(consumed by demo/reproduce --artifact); S > 1 writes a "
              "sharded store -- plan.json + one artifact per shard "
@@ -362,11 +361,9 @@ def _build_parser() -> argparse.ArgumentParser:
     info = sub.add_parser(
         "info", help="print version, runtime, and backend information"
     )
-    info.add_argument("--customers", type=int, default=500)
-    info.add_argument("--vendors", type=int, default=50)
-    info.add_argument("--seed", type=int, default=7)
-    info.add_argument(
-        "--shards", "-s", type=int, default=4, metavar="S",
+    add_workload(info, customers=500, vendors=50)
+    add_shards(
+        info, default=4,
         help="shard count of the sample shard card (default 4)",
     )
     return parser
@@ -376,7 +373,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.core.validation import validate_assignment
     from repro.datagen.config import ParameterRange, WorkloadConfig
     from repro.datagen.synthetic import synthetic_problem
-    from repro.experiments.runner import run_panel
+    from repro.experiments.runner import STREAMING, run_panel
     from repro.scenario import DEFAULT_SCENARIO, get_scenario
 
     problem = synthetic_problem(
@@ -405,11 +402,14 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     print(f"{'algorithm':10s} {'utility':>12s} {'ads':>6s} {'time':>9s}")
     for name, result in results.items():
         # Range validation assumes static locations; under a move
-        # schedule streaming members legitimately assign at mid-stream
-        # positions, so the static check does not apply.
-        flag = "" if run.moves is not None or validate_assignment(
-            problem, result.assignment
-        ).ok else "  INVALID"
+        # schedule the streaming members legitimately assign at
+        # mid-stream positions, so only they skip the static check.
+        if run.moves is not None and name in STREAMING:
+            flag = "  unchecked (moves)"
+        elif validate_assignment(problem, result.assignment).ok:
+            flag = ""
+        else:
+            flag = "  INVALID"
         print(
             f"{name:10s} {result.total_utility:12.3f} "
             f"{len(result.assignment):6d} {result.wall_time:8.3f}s{flag}"

@@ -52,11 +52,6 @@ class MUAAProblem:
             whose distances come from a table rather than coordinates).
             When set, range queries fall back to exhaustive scans, so
             this is intended for small instances.
-        spatial_backend: ``"grid"`` (default) or ``"kdtree"`` -- the
-            index used for customer-side range queries.  Both are
-            exact; the grid is tuned by the max vendor radius, the
-            KD-tree is parameter-free (see
-            ``benchmarks/bench_spatial_backends.py``).
         use_engine: Allow the columnar compute engine for batch utility
             evaluation when the utility model has a vectorized kernel.
             Disable to force the scalar reference path everywhere
@@ -83,8 +78,7 @@ class MUAAProblem:
             :class:`~repro.engine.dtypes.DtypePolicy`.
 
     Raises:
-        InvalidProblemError: On duplicate ids, an empty catalogue, or
-            an unknown spatial backend.
+        InvalidProblemError: On duplicate ids or an empty catalogue.
     """
 
     def __init__(
@@ -96,17 +90,12 @@ class MUAAProblem:
         pair_validator: Optional[
             Callable[[Customer, Vendor], bool]
         ] = None,
-        spatial_backend: str = "grid",
         use_engine: bool = True,
         parallel=None,
         churn: Optional[ChurnState] = None,
         dtype=None,
         slot_map=None,
     ) -> None:
-        if spatial_backend not in ("grid", "kdtree"):
-            raise InvalidProblemError(
-                f"unknown spatial backend {spatial_backend!r}"
-            )
         if not ad_types:
             raise InvalidProblemError("a MUAA problem needs at least one ad type")
         self.customers: List[Customer] = list(customers)
@@ -147,7 +136,6 @@ class MUAAProblem:
         self.min_cost: float = min(t.cost for t in self.ad_types)
 
         self._pair_validator = pair_validator
-        self._spatial_backend = spatial_backend
         self._customer_index = None
         self._vendor_index: Optional[GridIndex] = None
         self._use_engine = use_engine
@@ -269,25 +257,11 @@ class MUAAProblem:
         return self._pair_validator
 
     @property
-    def spatial_backend(self) -> str:
-        """The configured spatial index backend (``grid``/``kdtree``)."""
-        return self._spatial_backend
-
-    @property
     def customer_index(self):
         """Spatial index over customer locations (built lazily)."""
         if self._customer_index is None:
-            if self._spatial_backend == "kdtree":
-                from repro.spatial.kdtree import KDTree
-
-                self._customer_index = KDTree(
-                    [(c.customer_id, c.location) for c in self.customers]
-                )
-            else:
-                cell = self.max_radius if self.max_radius > 0 else 1.0
-                self._customer_index = build_customer_index(
-                    self.customers, cell
-                )
+            cell = self.max_radius if self.max_radius > 0 else 1.0
+            self._customer_index = build_customer_index(self.customers, cell)
         return self._customer_index
 
     def grid_cell_size(self) -> float:
@@ -298,9 +272,7 @@ class MUAAProblem:
         the vectorized edge enumeration can size its grid for a
         million customers without a per-point insertion pass.
         """
-        if self._customer_index is not None and hasattr(
-            self._customer_index, "cell_size"
-        ):
+        if self._customer_index is not None:
             return self._customer_index.cell_size
         cell = self.max_radius if self.max_radius > 0 else 1.0
         return max(cell, 1e-6)

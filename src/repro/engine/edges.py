@@ -66,12 +66,12 @@ def build_candidate_edges(problem, arrays: ProblemArrays) -> CandidateEdges:
     """Materialise the candidate-edge table of a problem.
 
     Holds exactly the pairs of ``problem.valid_pairs()``, in the same
-    order.  With the default grid backend and no custom validator the
-    enumeration is computed in a handful of array passes (see
-    :func:`_grid_order_enumeration`); otherwise the scalar
-    ``problem.valid_customer_ids`` query runs per vendor.
+    order.  Without a custom validator the enumeration is computed in
+    a handful of array passes (see :func:`_grid_order_enumeration`);
+    otherwise the scalar ``problem.valid_customer_ids`` query runs per
+    vendor.
     """
-    if problem.pair_validator is None and problem.spatial_backend == "grid":
+    if problem.pair_validator is None:
         customer_idx, vendor_idx, starts = _grid_order_enumeration(
             problem, arrays
         )

@@ -24,6 +24,8 @@ from repro.stream.simulator import OnlineAsOffline
 
 #: Panel names in the paper's presentation order.
 PANEL = ("RANDOM", "NEAREST", "GREEDY", "RECON", "ONLINE")
+#: Panel members that stream arrivals, the only ones given ``moves``.
+STREAMING = ("NEAREST", "ONLINE")
 
 
 def _safe_calibration(problem: MUAAProblem, seed: int) -> GammaBounds:

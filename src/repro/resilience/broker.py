@@ -118,7 +118,6 @@ class GuardedProblem(MUAAProblem):
             ad_types=base.ad_types,
             utility_model=utility_model,
             pair_validator=base._pair_validator,
-            spatial_backend=base._spatial_backend,
             use_engine=False,
             churn=base.churn,
         )

@@ -102,7 +102,6 @@ def resample_arrival_times(
         ad_types=problem.ad_types,
         utility_model=problem.utility_model,
         pair_validator=problem.pair_validator,
-        spatial_backend=problem.spatial_backend,
         use_engine=problem._use_engine,
         parallel=problem.parallel_config,
         dtype=problem.dtype_policy,

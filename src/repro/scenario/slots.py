@@ -106,7 +106,7 @@ def expand_problem(problem: MUAAProblem, k: int) -> MUAAProblem:
     """A new problem over the slot-expanded vendor catalogue.
 
     Customers, ad types, utility model, and every configuration knob
-    (spatial backend, engine policy, parallel config, dtype policy)
+    (pair validator, engine policy, parallel config, dtype policy)
     carry over unchanged; only the vendor list is expanded and the
     resulting problem carries the :class:`SlotMap` for fold-back.
     ``k == 1`` still re-ids vendors onto a dense range, so callers
@@ -120,7 +120,6 @@ def expand_problem(problem: MUAAProblem, k: int) -> MUAAProblem:
         ad_types=problem.ad_types,
         utility_model=problem.utility_model,
         pair_validator=problem.pair_validator,
-        spatial_backend=problem.spatial_backend,
         use_engine=problem._use_engine,
         parallel=problem.parallel_config,
         dtype=problem.dtype_policy,

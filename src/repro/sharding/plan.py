@@ -51,7 +51,7 @@ from repro.spatial.queries import valid_vendors
 #: v2 adds ``churn_epoch``; v1 documents still load (epoch 0).
 METADATA_SCHEMA_VERSION = 2
 
-#: Floor on the shard cell size, mirroring the spatial-query backends.
+#: Floor on the shard cell size, mirroring the spatial-query grids.
 _MIN_CELL = 1e-6
 
 
@@ -369,9 +369,9 @@ class ShardPlan:
         """The (cached) per-shard problem view.
 
         Shard views share the full problem's ad catalogue, utility
-        model, pair validator, backend and parallel configuration, and
-        keep global entity ids; the identity plan returns the original
-        problem object itself.
+        model, pair validator, engine policy and parallel
+        configuration, and keep global entity ids; the identity plan
+        returns the original problem object itself.
         """
         if self._identity:
             return self._problem
@@ -390,7 +390,6 @@ class ShardPlan:
                 ad_types=problem.ad_types,
                 utility_model=problem.utility_model,
                 pair_validator=problem.pair_validator,
-                spatial_backend=problem.spatial_backend,
                 use_engine=problem._use_engine,
                 parallel=problem.parallel_config,
                 churn=problem.churn,

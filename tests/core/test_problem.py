@@ -134,53 +134,6 @@ class TestUtilityAccess:
             p.best_instance_for_pair(0, 0, by="nonsense")
 
 
-class TestSpatialBackends:
-    def test_unknown_backend_rejected(self):
-        from repro.exceptions import InvalidProblemError
-
-        customers = [Customer(customer_id=0, location=(0, 0), capacity=1,
-                              view_probability=0.5)]
-        vendors = [Vendor(vendor_id=0, location=(0, 0), radius=1, budget=1)]
-        t = AdType(type_id=0, name="x", cost=1, effectiveness=0.5)
-        with pytest.raises(InvalidProblemError):
-            MUAAProblem(customers, vendors, [t], TabularUtilityModel({}),
-                        spatial_backend="rtree")
-
-    def test_kdtree_backend_agrees_with_grid(self):
-        base = random_tabular_problem(
-            seed=11, n_customers=60, n_vendors=8, coverage=0.2
-        )
-        kd = MUAAProblem(
-            customers=base.customers,
-            vendors=base.vendors,
-            ad_types=base.ad_types,
-            utility_model=base.utility_model,
-            spatial_backend="kdtree",
-        )
-        for vendor in base.vendors:
-            assert sorted(kd.valid_customer_ids(vendor)) == sorted(
-                base.valid_customer_ids(vendor)
-            )
-        assert sorted(kd.valid_pairs()) == sorted(base.valid_pairs())
-
-    def test_algorithms_identical_across_backends(self):
-        from repro.algorithms.greedy import GreedyEfficiency
-
-        base = random_tabular_problem(
-            seed=12, n_customers=40, n_vendors=6, coverage=0.3
-        )
-        kd = MUAAProblem(
-            customers=base.customers,
-            vendors=base.vendors,
-            ad_types=base.ad_types,
-            utility_model=base.utility_model,
-            spatial_backend="kdtree",
-        )
-        assert GreedyEfficiency().solve(kd).total_utility == pytest.approx(
-            GreedyEfficiency().solve(base).total_utility
-        )
-
-
 class TestTheta:
     def test_theta_on_known_instance(self):
         # radius 0.5: customer 0 sees only vendor 0 -> a=2, n_c=max(1,2)=2

@@ -110,6 +110,29 @@ def test_demo_sharded(capsys):
     assert "INVALID" not in out
 
 
+def test_demo_trajectory_validates_offline_members(capsys, monkeypatch):
+    import repro.core.validation as validation
+
+    real = validation.validate_assignment
+    calls = []
+
+    def counting(problem, assignment):
+        calls.append(assignment)
+        return real(problem, assignment)
+
+    monkeypatch.setattr(validation, "validate_assignment", counting)
+    assert main(
+        ["demo", "--customers", "200", "--vendors", "25",
+         "--scenario", "trajectory"]
+    ) == 0
+    out = capsys.readouterr().out
+    # RANDOM, GREEDY and RECON solve the static snapshot and are
+    # checked; only NEAREST and ONLINE stream the moves.
+    assert len(calls) == 3
+    assert out.count("unchecked (moves)") == 2
+    assert "INVALID" not in out
+
+
 def test_info(capsys):
     assert main(["info"]) == 0
     out = capsys.readouterr().out

@@ -21,10 +21,13 @@ PACKAGES = (
     "repro.stream",
     "repro.datagen",
     "repro.experiments",
-    "repro.temporal",
     "repro.obs",
     "repro.cluster",
     "repro.scenario",
+    "repro.parallel",
+    "repro.store",
+    "repro.serve",
+    "repro.seeding",
 )
 
 
