@@ -262,22 +262,21 @@ def run_episode(
     )
     if arrivals is None:
         arrivals = by_arrival_time(problem.customers)
+    router.timeline.churn = churn
     try:
-        for tick, customer in enumerate(arrivals):
-            control.begin_tick(tick)
-            for event in chaosctl.activate(tick):
-                hosts[event.shard].kill()
-                chaosctl.note("kill")
-                rec.event(
-                    "cluster.chaos_kill", shard=event.shard, tick=tick
-                )
-            control.tend(tick, chaosctl, router.replay)
-            if control.heartbeat_due(tick):
-                control.heartbeat_round(tick, chaosctl)
-            if churn is not None:
-                for event in churn.at(tick):
-                    router.apply_churn(event, tick)
-            router.decide(customer, tick)
+        with router.timeline:
+            for tick, customer in enumerate(arrivals):
+                control.begin_tick(tick)
+                for event in chaosctl.activate(tick):
+                    hosts[event.shard].kill()
+                    chaosctl.note("kill")
+                    rec.event(
+                        "cluster.chaos_kill", shard=event.shard, tick=tick
+                    )
+                control.tend(tick, chaosctl, router.replay)
+                if control.heartbeat_due(tick):
+                    control.heartbeat_round(tick, chaosctl)
+                router.decide(customer, tick)
     finally:
         for host in hosts.values():
             host.close()

@@ -53,6 +53,7 @@ from repro.exceptions import (
 )
 from repro.obs.recorder import recorder
 from repro.stream.simulator import ResilienceStats
+from repro.stream.timeline import COMMITTED, Timeline
 
 #: Default degradation ladder, best tier first.
 DEFAULT_LADDER = ("replica", "static", "nearest", "shed")
@@ -179,7 +180,9 @@ class ClusterRouter:
         self._nearest = NearestVendor()
         self._nearest.reset(problem)
         self.assignment = problem.new_assignment()
-        self._seen: set = set()
+        #: Arrivals, the commit rule and the end-of-run rollback; the
+        #: episode driver sets its churn schedule and closes it.
+        self.timeline = Timeline(problem, "cluster", plan=plan)
         # Flat replay logs, *filtered at replay time* by the current
         # plan: a vendor migrated to another shard takes its committed
         # spend history with it, so a post-migration restart replays
@@ -193,7 +196,9 @@ class ClusterRouter:
     def decide(self, customer: Customer, tick: int) -> List[AdInstance]:
         """Route, decide, and commit one arriving customer."""
         start = time.perf_counter()
-        self._seen.add(customer.customer_id)
+        customer = self.timeline.arrive(customer, tick)
+        for _, deltas in self.timeline.churned:
+            self._ship_churn(deltas, tick)
         rec = recorder()
         with rec.span(
             "cluster.decision",
@@ -321,19 +326,11 @@ class ClusterRouter:
         return [], "shed"
 
     def _commit(self, picked: List[AdInstance]) -> List[AdInstance]:
-        rec = recorder()
         committed: List[AdInstance] = []
         for instance in picked:
-            if instance.customer_id not in self._seen:
-                self.stats.rejected_instances += 1
-                continue
-            if self.assignment.add(instance, strict=False):
+            if self.timeline.commit(self.assignment, instance) == COMMITTED:
                 committed.append(instance)
-                rec.count("cluster.commits")
                 self._committed_log.append(instance)
-            else:
-                self.stats.rejected_instances += 1
-                rec.count("cluster.rejected_instances")
         return committed
 
     # -- live churn --------------------------------------------------------
@@ -348,17 +345,14 @@ class ClusterRouter:
         simply misses the shipment -- its restart boots from the plan's
         already-churned view and the replayed delta no-ops.
         """
-        deltas = self._plan.apply_churn(event)
+        deltas = self.timeline.apply_churn(event, tick)
+        self._ship_churn(deltas, tick)
+        return deltas
+
+    def _ship_churn(self, deltas: List[ShardDelta], tick: int) -> None:
         self.stats.churn_events += 1
-        recorder().event(
-            "cluster.churn",
-            kind=event.kind,
-            tick=tick,
-            epoch=self._plan.epoch,
-        )
         for delta in deltas:
             self._ship_delta(delta, tick)
-        return deltas
 
     def _ship_delta(self, delta: ShardDelta, tick: int) -> None:
         shard = delta.shard
@@ -452,4 +446,5 @@ class ClusterRouter:
         stats.replayed_instances = self._control.replayed_instances
         stats.faults_injected = dict(self._chaos.injected)
         stats.churn_epoch = self._plan.epoch
+        stats.rejected_instances = self.timeline.rejected_instances
         return stats

@@ -56,12 +56,14 @@ from repro.resilience.policy import (
 )
 from repro.stream.arrivals import by_arrival_time
 from repro.stream.simulator import ResilienceStats, StreamResult
+from repro.stream.timeline import COMMITTED, Timeline
 from repro.utility.model import DelegatingUtilityModel, UtilityModel
 
 logger = logging.getLogger(__name__)
 
-#: Commit outcomes of :meth:`ResilientBroker._commit`.
-_COMMITTED, _INFEASIBLE, _FAILED = "committed", "infeasible", "failed"
+#: Commit outcome of :meth:`ResilientBroker._commit` when every delivery
+#: attempt failed (the others are :class:`Timeline` outcomes).
+_FAILED = "failed"
 
 
 class GuardedUtilityModel(DelegatingUtilityModel):
@@ -244,12 +246,10 @@ class ResilientBroker:
 
         Args:
             arrivals: Arrival order (arrival-time order by default).
-            churn: Optional :class:`~repro.churn.ChurnSchedule`.  Events
-                scheduled at arrival index ``t`` are applied -- through
-                the broker's shard plan when one was supplied, else
-                directly on the pristine problem -- before customer
-                ``t`` is decided.  Guarded views are scalar and cheap,
-                so churn simply rebuilds the ones it touched.
+            churn: Optional :class:`~repro.churn.ChurnSchedule`,
+                applied by :class:`~repro.stream.timeline.Timeline`
+                before each customer is decided.  Guarded views are
+                scalar and cheap, so churn simply rebuilds them.
 
         Returns:
             A :class:`StreamResult` whose ``resilience`` field carries
@@ -309,35 +309,29 @@ class ResilientBroker:
 
         assignment = problem.new_assignment()
         result = StreamResult(assignment=assignment, resilience=stats)
-        seen = set()
         rec = recorder()
         guards = (utility_guard, spatial_guard)
-        base_skips = problem.churn.skips
-        try:
+        # Auto-deactivation of exhausted vendors is part of churn-aware
+        # serving: on plain runs the fallback ladder must see the same
+        # candidate sets (and make the same guarded calls) as the seed
+        # broker.
+        with Timeline(
+            problem,
+            "broker",
+            plan=self._shard_plan,
+            churn=churn,
+            note_exhaustion=churn is not None,
+        ) as timeline:
             for tick, customer in enumerate(arrivals):
-                if churn is not None:
-                    applied = 0
-                    for event in churn.at(tick):
-                        if self._shard_plan is not None:
-                            self._shard_plan.apply_churn(event)
-                        else:
-                            problem.apply_churn(event)
-                        applied += 1
-                        rec.count("broker.churn_events")
-                        rec.event(
-                            "broker.churn",
-                            kind=event.kind,
-                            epoch=problem.churn.epoch,
-                        )
-                    if applied:
-                        # Guarded views copy the entity catalogue, so a
-                        # structural change rebuilds them (scalar views,
-                        # no engine -- cheap by construction).
-                        guarded_problem = GuardedProblem(
-                            problem, guarded_model, injector, spatial_guard
-                        )
-                        shard_guarded.clear()
-                seen.add(customer.customer_id)
+                customer = timeline.arrive(customer, tick)
+                if timeline.churned:
+                    # Guarded views copy the entity catalogue, so a
+                    # structural change rebuilds them (scalar views,
+                    # no engine -- cheap by construction).
+                    guarded_problem = GuardedProblem(
+                        problem, guarded_model, injector, spatial_guard
+                    )
+                    shard_guarded.clear()
                 faults_before = injector.total_faults
                 retries_before = sum(g.retries for g in guards)
                 target = guarded_problem
@@ -404,36 +398,17 @@ class ResilientBroker:
                     )
                     continue
                 for instance in picked:
-                    if instance.customer_id not in seen:
-                        result.rejected_instances += 1
-                        continue
-                    outcome = self._commit(
-                        instance, assignment, injector, stats, jitter_rng
-                    )
-                    if outcome == _INFEASIBLE:
-                        result.rejected_instances += 1
-                    elif outcome == _FAILED:
+                    if self._commit(
+                        timeline, instance, assignment, injector, stats,
+                        jitter_rng,
+                    ) == _FAILED:
                         stats.deliveries_failed += 1
-                    # Auto-deactivation of exhausted vendors is part of
-                    # churn-aware serving: on plain runs the fallback
-                    # ladder must see the same candidate sets (and make
-                    # the same guarded calls) as the seed broker.
-                    if (
-                        churn is not None
-                        and outcome != _INFEASIBLE
-                        and problem.note_if_exhausted(
-                            assignment, instance.vendor_id
-                        )
-                    ):
-                        stats.vendors_deactivated += 1
-                        rec.count("broker.vendors_deactivated")
-        finally:
-            # Auto-deactivations are run-local; roll them back so the
-            # pristine problem stays reusable across broker runs.
-            problem.reset_auto_deactivations()
 
+        result.rejected_instances = timeline.rejected_instances
+        stats.duplicates_suppressed = timeline.duplicates_suppressed
+        stats.vendors_deactivated = timeline.vendors_deactivated
         stats.churn_epoch = problem.churn.epoch
-        stats.exhausted_skips = problem.churn.skips - base_skips
+        stats.exhausted_skips = timeline.exhausted_skips
         result.churn_epoch = stats.churn_epoch
         result.exhausted_skips = stats.exhausted_skips
         result.vendors_deactivated = stats.vendors_deactivated
@@ -477,6 +452,7 @@ class ResilientBroker:
     # ------------------------------------------------------------------
     def _commit(
         self,
+        timeline: Timeline,
         instance: AdInstance,
         assignment: Assignment,
         injector: FaultInjector,
@@ -485,13 +461,16 @@ class ResilientBroker:
     ) -> str:
         """Commit one delivery with retries and duplicate suppression.
 
-        The commit itself is local and atomic; what the fault plan can
-        break is the *round trip* -- a transient before the commit, or a
-        lost acknowledgement after it.  The retry loop is idempotent:
-        a re-attempt that finds the identical instance already
-        committed counts as a suppressed duplicate, never as a second
-        budget charge.
+        The commit itself is :meth:`Timeline.commit`, local and atomic;
+        what the fault plan can break is the *round trip* -- a transient
+        before the commit, or a lost acknowledgement after it.  The
+        retry loop is idempotent: a re-attempt that finds the identical
+        instance already committed is a suppressed duplicate, never a
+        second budget charge.  An instance for a customer who has not
+        arrived never enters the round trip.
         """
+        if instance.customer_id not in timeline.arrived:
+            return timeline.commit(assignment, instance)
         for attempt in range(self._retry.max_attempts):
             try:
                 injector.before_call("commit")
@@ -506,25 +485,13 @@ class ResilientBroker:
                 stats.retries += 1
                 self._clock.sleep(self._retry.backoff(attempt, rng))
                 continue
-            existing = assignment.instance_for_pair(
-                instance.customer_id, instance.vendor_id
-            )
-            if existing is not None:
-                if existing == instance:
-                    # A previous attempt committed but its ack was
-                    # lost; recognise and suppress the duplicate.
-                    stats.duplicates_suppressed += 1
-                    logger.debug("suppressed duplicate delivery %s", instance)
-                    return _COMMITTED
-                return _INFEASIBLE
-            if not assignment.add(instance, strict=False):
-                return _INFEASIBLE
-            if injector.ack_lost():
+            outcome = timeline.commit(assignment, instance)
+            if outcome == COMMITTED and injector.ack_lost():
                 # Committed, but the broker does not know -- re-attempt
                 # as a real at-least-once delivery pipeline would.
                 stats.retries += 1
                 continue
-            return _COMMITTED
+            return outcome
         # Attempts exhausted with the ack still lost: the ad *was*
         # delivered exactly once; only our confirmation is missing.
-        return _COMMITTED
+        return COMMITTED

@@ -8,8 +8,8 @@ of a shard group in **one engine kernel call**
 (:meth:`~repro.engine.engine.ComputeEngine.batch_best` over the
 batch's gathered edge positions), and then resolves intra-batch budget
 contention sequentially in arrival order against the shared committed
-assignment, using the same idempotent commit discipline as
-:class:`~repro.resilience.broker.ResilientBroker`.
+assignment through the shared commit rule of
+:class:`~repro.stream.timeline.Timeline`.
 
 Exactness
 ---------
@@ -48,6 +48,7 @@ from repro.core.assignment import AdInstance, Assignment
 from repro.engine.engine import MISS
 from repro.obs.recorder import recorder
 from repro.serve.request import AdRequest, ServeStats
+from repro.stream.timeline import COMMITTED, Timeline
 
 #: Threshold-acceptance tolerance, identical to the O-AFA loop.
 _EPS = 1e-9
@@ -144,6 +145,9 @@ class BatchScorer:
         self._warm = warm
         self._warmed: set = set()
         self.stats = ServeStats()
+        #: Arrivals, the commit rule and the end-of-run rollback; a
+        #: replay driver sets its move schedule here.
+        self.timeline = Timeline(problem, "serve", plan=shard_plan)
 
     # -- engine acquisition --------------------------------------------
     def _engine_for(self, shard: Optional[int], target):
@@ -177,6 +181,10 @@ class BatchScorer:
         if not requests:
             return results
         rec = recorder()
+        for request in requests:
+            # A queued request's customer has arrived, whichever path
+            # submitted it.
+            self.timeline.arrive(request.customer)
         self.stats.batches += 1
         self.stats.batch_sizes.append(len(requests))
         rec.observe(
@@ -342,49 +350,26 @@ class BatchScorer:
         results: Dict[int, Tuple[Tuple[AdInstance, ...], Optional[int]]],
         touched: set,
     ) -> None:
-        """Idempotently commit one request's decided instances.
-
-        Same discipline as the resilient broker: a pair already holding
-        an identical instance is a suppressed duplicate, a conflicting
-        one is rejected, and fresh instances go through the
-        constraint-checked ``add``.  ``note_if_exhausted`` runs on the
-        *global* problem after each commit (budget exhaustion is a
-        global fact), exactly like the synchronous stream loop.
-        """
-        rec = recorder()
+        """Commit one request's decided instances through the
+        timeline's commit rule (``note_if_exhausted`` runs on the
+        *global* problem: budget exhaustion is a global fact)."""
         stats = self.stats
+        timeline = self.timeline
         committed: List[AdInstance] = []
         for instance in picked:
-            existing = self.assignment.instance_for_pair(
-                instance.customer_id, instance.vendor_id
-            )
-            if existing is not None:
-                if existing == instance:
-                    stats.duplicates_suppressed += 1
-                    rec.count("serve.duplicates_suppressed")
-                else:
-                    stats.rejected_instances += 1
-                    rec.count("serve.rejected_instances")
-                continue
-            if self.assignment.add(instance, strict=False):
+            if timeline.commit(self.assignment, instance) == COMMITTED:
                 committed.append(instance)
                 touched.add(instance.vendor_id)
-                stats.commits += 1
                 stats.utility += instance.utility
-                rec.count("serve.budget_commits")
-                if self._problem.note_if_exhausted(
-                    self.assignment, instance.vendor_id
-                ):
-                    stats.vendors_deactivated += 1
-                    rec.count("serve.vendors_deactivated")
-            else:
-                stats.rejected_instances += 1
-                rec.count("serve.rejected_instances")
+        stats.commits = timeline.budget_commits
+        stats.rejected_instances = timeline.rejected_instances
+        stats.duplicates_suppressed = timeline.duplicates_suppressed
+        stats.vendors_deactivated = timeline.vendors_deactivated
         stats.served += 1
         results[request.request_id] = (tuple(committed), shard)
 
     def finish(self) -> None:
-        """End-of-episode cleanup: roll back automatic deactivations so
-        the problem object stays reusable (the synchronous stream does
-        the same in its ``finally``)."""
-        self._problem.reset_auto_deactivations()
+        """End-of-episode cleanup: :meth:`Timeline.close` rolls back
+        automatic deactivations and moves so the problem object stays
+        reusable."""
+        self.timeline.close()

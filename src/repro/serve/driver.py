@@ -125,11 +125,6 @@ class ReplayDriver:
         moves=None,
     ) -> None:
         self.config = config if config is not None else ServeConfig()
-        self._problem = problem
-        self._shard_plan = shard_plan
-        #: Optional trajectory move schedule, keyed by submission index
-        #: (the serve-side analogue of the stream's arrival tick).
-        self._moves = moves
         self.clock = SimulatedClock()
         self._cost_clock: Clock = (
             cost_clock if cost_clock is not None else SystemClock()
@@ -141,6 +136,9 @@ class ReplayDriver:
             sharded_engine=sharded_engine,
             warm=self.config.warm,
         )
+        # Trajectory moves are keyed by submission index (the serve-side
+        # analogue of the stream's arrival tick).
+        self.scorer.timeline.moves = moves
         bucket = (
             TokenBucket(
                 self.config.rate, burst=self.config.burst, clock=self.clock
@@ -193,25 +191,16 @@ class ReplayDriver:
                     clock.advance(target - now)
                 now = clock.now()
                 while index < len(schedule) and schedule[index].time <= now:
-                    customer = schedule[index].customer
-                    if self._moves is not None:
-                        self._apply_moves(self._moves.at(index))
-                        # A move at this index may have relocated the
-                        # arriving customer; score the fresh entity.
-                        customer = self._problem.customers_by_id.get(
-                            customer.customer_id, customer
+                    # A move at this index may relocate the arriving
+                    # customer; the timeline returns the fresh entity.
+                    self._submit(
+                        self.scorer.timeline.arrive(
+                            schedule[index].customer, index
                         )
-                    self._submit(customer)
+                    )
                     index += 1
         finally:
             self.scorer.finish()
-            # Moves are episode-local: restore first-seen locations so
-            # the problem (and plan membership) stays reusable.
-            if self._moves is not None:
-                if self._shard_plan is not None:
-                    self._shard_plan.reset_moves()
-                else:
-                    self._problem.reset_moves()
         decisions = [
             self._decisions[rid] for rid in sorted(self._decisions)
         ]
@@ -227,24 +216,6 @@ class ReplayDriver:
         )
 
     # -- internals ------------------------------------------------------
-    def _apply_moves(self, due) -> None:
-        """Apply trajectory moves due at one submission index (through
-        the plan when one is active, so membership stays in sync)."""
-        if not due:
-            return
-        rec = recorder()
-        for move in due:
-            if self._shard_plan is not None:
-                applied = self._shard_plan.move_customer(
-                    move.customer_id, move.location
-                )
-            else:
-                applied = self._problem.move_customer(
-                    move.customer_id, move.location
-                )
-            if applied:
-                rec.count("serve.customer_moves")
-
     def _submit(self, customer: Customer) -> None:
         rec = recorder()
         now = self.clock.now()

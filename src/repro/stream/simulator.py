@@ -26,6 +26,7 @@ from repro.core.entities import Customer
 from repro.core.problem import MUAAProblem
 from repro.obs.recorder import recorder
 from repro.stream.arrivals import by_arrival_time
+from repro.stream.timeline import Timeline
 
 
 @dataclass
@@ -252,25 +253,20 @@ class OnlineSimulator:
                 locality/quality trade-off documented in
                 ``docs/sharding.md``.  Commits still land on the global
                 assignment, so budgets stay authoritative.
-            churn: Optional :class:`~repro.churn.ChurnSchedule`.
-                Events scheduled at arrival index ``t`` are applied
-                (through the plan when one is active, else directly on
-                the problem) *before* customer ``t`` is decided, so the
-                stream serves against the post-churn marketplace.  The
-                final epoch lands in ``StreamResult.churn_epoch``.
+            churn: Optional :class:`~repro.churn.ChurnSchedule`;
+                events at arrival index ``t`` are applied before
+                customer ``t`` is decided (see
+                :class:`~repro.stream.timeline.Timeline`).  The final
+                epoch lands in ``StreamResult.churn_epoch``.
             churn_cold_rebuild: With ``churn``, rebuild from scratch
-                after every applied event instead of splicing deltas
-                (shard views released / engine dropped, then re-warmed
-                when ``warm_engine`` was requested).  The parity
-                reference the delta path is tested against.
+                after every tick that applied events instead of
+                splicing deltas (shard views released / engine dropped,
+                then re-warmed when ``warm_engine`` was requested).
+                The parity reference the delta path is tested against.
             moves: Optional :class:`~repro.scenario.trajectory.
-                MoveSchedule` (trajectory scenarios).  Moves scheduled
-                at arrival index ``t`` are applied (through the plan
-                when one is active, else directly on the problem)
-                *before* customer ``t`` is decided, advancing the
-                problem's location epoch so the moved customers'
-                candidate ranges are re-resolved; the arriving entity
-                is refreshed so routing sees the new location.
+                MoveSchedule`; moves at arrival index ``t`` are applied
+                after that tick's churn and before customer ``t`` is
+                decided, which is then routed at its new location.
         """
         problem = self._problem
         plan = shard_plan
@@ -290,35 +286,15 @@ class OnlineSimulator:
         result = StreamResult(assignment=assignment)
         algorithm.reset(problem)
 
-        # Decisions may be deferred (micro-batching), so an instance is
-        # admissible for any customer that has *already arrived* -- but
-        # never for a future or unknown one, which would break the
-        # online model.
-        seen = set()
         rec = recorder()
         timed = measure_latency or decision_deadline is not None
-        base_skips = problem.churn.skips
-        try:
+        with Timeline(
+            problem, "stream", plan=shard_plan, churn=churn, moves=moves
+        ) as timeline:
             for tick, customer in enumerate(arrivals):
-                if churn is not None:
-                    # Events flow through the plan even when it is the
-                    # identity one, so its churn log/epoch stay correct
-                    # for cluster replay.
-                    self._apply_churn(
-                        churn.at(tick),
-                        shard_plan,
-                        plan,
-                        churn_cold_rebuild,
-                        warm_engine,
-                    )
-                if moves is not None:
-                    self._apply_moves(moves.at(tick), shard_plan)
-                    # The arriving entity may have been relocated by a
-                    # move at this very tick; route by the fresh one.
-                    customer = problem.customers_by_id.get(
-                        customer.customer_id, customer
-                    )
-                seen.add(customer.customer_id)
+                customer = timeline.arrive(customer, tick)
+                if churn_cold_rebuild and timeline.churned:
+                    self._cold_rebuild(plan, warm_engine)
                 target = problem
                 span_attrs = {"customer": customer.customer_id}
                 if churn is not None:
@@ -348,101 +324,28 @@ class OnlineSimulator:
                         rec.count("stream.deadline_drops")
                         continue  # customer went inactive; ads dropped
                 for instance in picked:
-                    if instance.customer_id not in seen:
-                        result.rejected_instances += 1
-                        rec.count("stream.rejected_instances")
-                        continue
-                    if assignment.add(instance, strict=False):
-                        rec.count("stream.budget_commits")
-                        if problem.note_if_exhausted(
-                            assignment, instance.vendor_id
-                        ):
-                            result.vendors_deactivated += 1
-                            rec.count("stream.vendors_deactivated")
-                    else:
-                        result.rejected_instances += 1
-                        rec.count("stream.rejected_instances")
-        finally:
-            # Auto-deactivations are run-local (the assignment dies with
-            # the run); roll them back so the problem stays reusable.
-            problem.reset_auto_deactivations()
-            # Customer moves are likewise run-local: restore first-seen
-            # locations so every panel member streams the same workload.
-            if moves is not None:
-                if shard_plan is not None:
-                    shard_plan.reset_moves()
-                else:
-                    problem.reset_moves()
+                    timeline.commit(assignment, instance)
+        result.rejected_instances = timeline.rejected_instances
+        result.vendors_deactivated = timeline.vendors_deactivated
         result.churn_epoch = problem.churn.epoch
-        result.exhausted_skips = problem.churn.skips - base_skips
+        result.exhausted_skips = timeline.exhausted_skips
         if result.exhausted_skips:
             rec.gauge("stream.exhausted_skips", result.exhausted_skips)
         return result
 
-    def _apply_moves(self, due, churn_plan) -> None:
-        """Apply customer moves due at one arrival tick.
-
-        Moves flow through the plan when one was supplied (even the
-        identity plan, which delegates straight to the problem) so
-        shard membership and resident views stay in sync.
-        """
-        if not due:
-            return
-        problem = self._problem
-        rec = recorder()
-        for move in due:
-            if churn_plan is not None:
-                applied = churn_plan.move_customer(
-                    move.customer_id, move.location
-                )
-            else:
-                applied = problem.move_customer(
-                    move.customer_id, move.location
-                )
-            if applied:
-                rec.count("stream.customer_moves")
-                rec.event(
-                    "stream.move",
-                    customer=move.customer_id,
-                    epoch=problem.location_epoch,
-                )
-
-    def _apply_churn(
-        self, events, churn_plan, plan, cold_rebuild: bool, warm_engine: bool
-    ) -> None:
-        """Apply churn events due at one arrival tick.
-
-        ``churn_plan`` is the plan the events commit through (possibly
-        the identity plan, whose log must still advance); ``plan`` is
-        the routing plan (``None`` when decisions run unsharded).
-        """
-        if not events:
-            return
-        problem = self._problem
-        rec = recorder()
-        for event in events:
-            if churn_plan is not None:
-                churn_plan.apply_churn(event)
-            else:
-                problem.apply_churn(event)
-            rec.count("stream.churn_events")
-            rec.event(
-                "stream.churn",
-                kind=event.kind,
-                epoch=problem.churn.epoch,
-            )
-        if cold_rebuild:
-            # Parity reference: tear every incremental structure down
-            # and rebuild from scratch.
-            if plan is not None:
-                plan.release_all()
-                if warm_engine:
-                    for shard in range(plan.n_shards):
-                        plan.problem_for(shard).warm_utilities()
-            else:
-                problem.drop_engine()
-                if warm_engine:
-                    problem.warm_utilities()
+    def _cold_rebuild(self, plan, warm_engine: bool) -> None:
+        """Parity reference for churn: tear every incremental structure
+        down and rebuild from scratch (``plan`` is the routing plan,
+        ``None`` when decisions run unsharded)."""
+        if plan is not None:
+            plan.release_all()
+            if warm_engine:
+                for shard in range(plan.n_shards):
+                    plan.problem_for(shard).warm_utilities()
+        else:
+            self._problem.drop_engine()
+            if warm_engine:
+                self._problem.warm_utilities()
 
 
 class OnlineAsOffline(OfflineAlgorithm):

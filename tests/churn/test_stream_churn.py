@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.algorithms.calibration import calibrate_from_problem
 from repro.algorithms.online_afa import OnlineAdaptiveFactorAware
 from repro.churn import (
     KIND_DEACTIVATE,
@@ -84,6 +85,53 @@ class TestStreamParity:
         )
         assert result.churn_epoch == problem.churn.epoch
         assert result.total_utility > 0
+
+
+class TestBrokerParity:
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_zero_fault_broker_equals_stream_under_churn(self, shards):
+        """Both loops run on one timeline, so with no faults the broker
+        is the stream: same commits, deactivations and skips."""
+        # Calibrate on a separate copy: an engine built on the served
+        # problem would differ from the broker's scalar guarded views in
+        # the last bits.
+        bounds = calibrate_from_problem(make_problem(600, 60), seed=5)
+        results = []
+        for broker in (False, True):
+            problem = make_problem(600, 60)
+            plan = ShardPlan.build(problem, shards) if shards > 1 else None
+            schedule = seeded_vendor_churn(
+                problem, N_EVENTS, seed=23, n_ticks=600, plan=plan
+            )
+            primary = OnlineAdaptiveFactorAware(
+                gamma_min=bounds.gamma_min, g=bounds.g
+            )
+            if broker:
+                result = ResilientBroker(
+                    problem, primary=primary, shard_plan=plan
+                ).run(churn=schedule)
+            else:
+                result = OnlineSimulator(problem).run(
+                    primary,
+                    shard_plan=plan,
+                    churn=schedule,
+                    measure_latency=False,
+                )
+            results.append(result)
+        stream, brokered = results
+        assert brokered.resilience.degraded_decisions == 0
+        assert _bitwise(brokered.assignment) == _bitwise(stream.assignment)
+        assert stream.vendors_deactivated > 0
+        assert brokered.vendors_deactivated == stream.vendors_deactivated
+        assert brokered.exhausted_skips == stream.exhausted_skips
+        assert brokered.churn_epoch == stream.churn_epoch == N_EVENTS
+
+
+def _bitwise(assignment):
+    return sorted(
+        (i.customer_id, i.vendor_id, i.type_id, i.utility, i.cost)
+        for i in assignment
+    )
 
 
 class TestExhaustedSkips:

@@ -73,6 +73,25 @@ class TestFeasibility:
         assert result.stats.decisions == 40
 
 
+class TestReusableProblem:
+    def test_second_episode_on_same_problem_matches(self):
+        # The router commits through the arrival timeline, which notes
+        # exhausted vendors and rolls the notes back when the episode
+        # ends -- so the problem serves a second episode unchanged.
+        problem = make_problem()
+        config = ClusterConfig(shards=4, transport="inline")
+        with observed() as rec:
+            first = run_episode(problem, config)
+        counters = rec.metrics.snapshot()["counters"]
+        assert counters["cluster.vendors_deactivated"] > 0
+        assert counters["cluster.budget_commits"] == len(first.assignment)
+        assert not problem.churn.auto
+        second = run_episode(problem, config)
+        assert not problem.churn.auto
+        assert triples(second.assignment) == triples(first.assignment)
+        assert second.total_utility == first.total_utility
+
+
 class TestObservability:
     def test_worker_lanes_merge_into_one_timeline(self):
         with observed() as rec:

@@ -128,3 +128,78 @@ class TestServeParity:
         utility, decisions = episode(run.problem, run.moves)
         assert utility == base_utility
         assert decisions == base_decisions
+
+
+class TestServeMovesParity:
+    """Serve and stream share one arrival timeline, so a non-identity
+    trajectory schedule moves the same customers at the same index in
+    both, and the decisions stay equal."""
+
+    MARKET = WorkloadConfig(
+        n_customers=600,
+        n_vendors=60,
+        seed=7,
+        radius_range=ParameterRange(0.05, 0.1),
+    )
+
+    def _setup(self, shards):
+        from repro.algorithms.calibration import calibrate_from_problem
+        from repro.algorithms.online_afa import OnlineAdaptiveFactorAware
+        from repro.scenario import TrajectoryScenario
+        from repro.sharding import ShardPlan
+
+        run = TrajectoryScenario(0.2).realize(
+            synthetic_problem(self.MARKET), 7
+        )
+        bounds = calibrate_from_problem(run.problem, seed=7)
+        algorithm = OnlineAdaptiveFactorAware(
+            gamma_min=bounds.gamma_min, g=bounds.g
+        )
+        plan = ShardPlan.build(run.problem, shards) if shards > 1 else None
+        return run.problem, run.moves, algorithm, plan
+
+    @pytest.mark.parametrize("max_batch", [1, 8])
+    @pytest.mark.parametrize("shards", [1, 4], ids=["unsharded", "4-shard"])
+    def test_replay_equals_stream_with_moves(self, shards, max_batch):
+        from repro.engine.sharded import ShardedEngine
+        from repro.obs.recorder import observed
+        from repro.serve import ReplayDriver, ServeConfig, build_schedule
+        from repro.stream.simulator import OnlineSimulator
+
+        problem, moves, algorithm, plan = self._setup(shards)
+        with observed() as rec:
+            stream = OnlineSimulator(problem).run(
+                algorithm,
+                measure_latency=False,
+                warm_engine=True,
+                shard_plan=plan,
+                moves=moves,
+            )
+        stream_moves = rec.metrics.snapshot()["counters"][
+            "stream.customer_moves"
+        ]
+
+        problem, moves, algorithm, plan = self._setup(shards)
+        driver = ReplayDriver(
+            problem,
+            algorithm,
+            ServeConfig(max_batch=max_batch, queue_depth=1000),
+            shard_plan=plan,
+            sharded_engine=(
+                ShardedEngine.create(plan) if plan is not None else None
+            ),
+            moves=moves,
+        )
+        schedule = build_schedule(problem.customers, rate=500.0, seed=7)
+        with observed() as rec:
+            result = driver.run(schedule)
+        assert stream_moves > 0
+        assert rec.metrics.snapshot()["counters"][
+            "serve.customer_moves"
+        ] == stream_moves
+        assert {d.status for d in result.decisions} == {"served"}
+        served = [i for d in result.decisions for i in d.instances]
+        assert _fingerprint(served) == _fingerprint(stream.assignment)
+        assert result.utility == stream.total_utility
+        # Both runs rolled their moves back.
+        assert not problem.moved_customer_ids
