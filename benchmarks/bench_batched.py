@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms.batched import BatchedReconciliation, run_batched
+from repro.algorithms.batched import BatchedReconciliation
 from repro.algorithms.calibration import calibrate_from_problem
 from repro.algorithms.online_afa import OnlineAdaptiveFactorAware
 from repro.core.validation import validate_assignment
@@ -22,8 +22,8 @@ BATCH_SIZES = (1, 8, 64, 512)
 def test_batched(benchmark, default_synth_problem, batch_size):
     problem = default_synth_problem
     result = benchmark.pedantic(
-        run_batched,
-        args=(problem, BatchedReconciliation(batch_size=batch_size, seed=0)),
+        OnlineSimulator(problem).run,
+        args=(BatchedReconciliation(batch_size=batch_size, seed=0),),
         rounds=1,
         iterations=1,
     )

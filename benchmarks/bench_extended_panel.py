@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms.batched import BatchedReconciliation, run_batched
+from repro.algorithms.batched import BatchedReconciliation
 from repro.algorithms.bounds import combined_bound
 from repro.algorithms.calibration import calibrate_from_problem
 from repro.algorithms.greedy import GreedyEfficiency
@@ -41,8 +41,8 @@ def _run(name, problem):
     if name == "LP-ROUND":
         return LPRounding().solve(problem)
     if name == "BATCH-RECON":
-        return run_batched(
-            problem, BatchedReconciliation(batch_size=16, seed=0)
+        return OnlineSimulator(problem).run(
+            BatchedReconciliation(batch_size=16, seed=0)
         ).assignment
     if name == "ONLINE":
         bounds = calibrate_from_problem(problem, seed=0)

@@ -1,7 +1,7 @@
 """MUAA algorithms: the paper's approaches plus every baseline."""
 
 from repro.algorithms.base import OfflineAlgorithm, OnlineAlgorithm, SolveResult
-from repro.algorithms.batched import BatchedReconciliation, run_batched
+from repro.algorithms.batched import BatchedReconciliation
 from repro.algorithms.bounds import (
     capacity_bound,
     combined_bound,
@@ -37,7 +37,6 @@ __all__ = [
     "OnlineAlgorithm",
     "SolveResult",
     "BatchedReconciliation",
-    "run_batched",
     "capacity_bound",
     "combined_bound",
     "full_lp_bound",

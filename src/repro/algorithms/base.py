@@ -106,3 +106,11 @@ class OnlineAlgorithm(ABC):
             The instances to commit for this customer.  Each must be
             individually feasible; the simulator enforces them in order.
         """
+
+    def flush_pending(
+        self, problem: MUAAProblem, assignment: Assignment
+    ) -> List[AdInstance]:
+        """Decide whatever is still buffered when the stream ends (the
+        simulator commits it before the run closes); nothing by default.
+        """
+        return []

@@ -29,13 +29,8 @@ class BatchedReconciliation(OnlineAlgorithm):
     The simulator contract is one decision per arriving customer, so
     the algorithm returns ``[]`` while buffering and flushes the whole
     batch's ads on the customer that fills it.  Customers buffered when
-    the stream ends are decided by the final flush the simulator
-    triggers through :meth:`process_customer` (the flush condition also
-    fires when the buffer holds the last stream customer, which the
-    caller signals by using a batch size of 1 for the tail or simply
-    accepting that a partial final batch is flushed by
-    :meth:`flush_pending` -- the provided :func:`run_batched` driver
-    handles this).
+    the stream ends are decided by :meth:`flush_pending`, which the
+    simulator calls after the last arrival.
 
     Args:
         batch_size: Customers per batch (1 degenerates to greedy
@@ -113,26 +108,3 @@ class BatchedReconciliation(OnlineAlgorithm):
         """Decide any customers still buffered (end of stream)."""
         return self._solve_batch(problem, assignment)
 
-
-def run_batched(
-    problem: MUAAProblem,
-    algorithm: BatchedReconciliation,
-    arrivals=None,
-):
-    """Drive a batched algorithm over a stream, flushing the tail batch.
-
-    Thin wrapper over :class:`repro.stream.simulator.OnlineSimulator`
-    that issues the final partial-batch flush the plain simulator
-    doesn't know about.
-
-    Returns:
-        The simulator's :class:`~repro.stream.simulator.StreamResult`
-        with the tail batch committed.
-    """
-    from repro.stream.simulator import OnlineSimulator
-
-    result = OnlineSimulator(problem).run(algorithm, arrivals=arrivals)
-    for instance in algorithm.flush_pending(problem, result.assignment):
-        if not result.assignment.add(instance, strict=False):
-            result.rejected_instances += 1
-    return result

@@ -221,10 +221,15 @@ class OnlineAdaptiveFactorAware(OnlineAlgorithm):
         potential: List[AdInstance] = []
         # Hot path: with a built compute engine, skip the per-call
         # dispatch in ``problem.best_instance_for_pair`` (the engine
-        # covers every candidate edge, so its lookups never miss).
-        engine = problem.engine
-        lookup = engine.best_for_pair if engine is not None else None
+        # covers every candidate edge, so its lookups never miss).  A
+        # moved customer's rows are stale, so it takes the scalar path.
         customer_id = customer.customer_id
+        engine = problem.engine
+        lookup = (
+            engine.best_for_pair
+            if engine is not None and not problem.has_moved(customer_id)
+            else None
+        )
         spend_for_vendor = assignment.spend_for_vendor
         budgets = problem.budgets
         for vendor_id in vendor_ids:
@@ -235,16 +240,11 @@ class OnlineAdaptiveFactorAware(OnlineAlgorithm):
             remaining = budget - spent
             # Line 4: the vendor's "best" (highest-efficiency) affordable
             # ad type for this customer.
-            if lookup is not None:
-                best = lookup(customer_id, vendor_id, max_cost=remaining)
-                if best is MISS:
-                    best = problem.best_instance_for_pair(
-                        customer_id,
-                        vendor_id,
-                        by="efficiency",
-                        max_cost=remaining,
-                    )
-            else:
+            best = (
+                lookup(customer_id, vendor_id, max_cost=remaining)
+                if lookup is not None else MISS
+            )
+            if best is MISS:
                 best = problem.best_instance_for_pair(
                     customer_id,
                     vendor_id,

@@ -238,13 +238,20 @@ class MUAAProblem:
         self._engine_miss = None
         self._engine_unsupported = False
 
+    def has_moved(self, customer_id: int) -> bool:
+        """Whether ``customer_id`` has moved in this run: the one gate
+        of every engine lookup (here, in O-AFA and in the serve batch
+        scorer), since its engine rows were scored at an old location.
+        """
+        return customer_id in self._moved
+
     def _engine_base(
         self, customer_id: int, vendor_id: int
     ) -> Optional[float]:
         """The pair base from the built engine, or ``None`` (engine not
         built, the customer has moved since the table was scored, or
         the pair is not a range-valid candidate)."""
-        if self._engine is None or customer_id in self._moved:
+        if self._engine is None or self.has_moved(customer_id):
             return None
         return self._engine.pair_base(customer_id, vendor_id)
 
@@ -307,7 +314,7 @@ class MUAAProblem:
         if (
             self._engine is not None
             and self._engine.edges_built
-            and customer.customer_id not in self._moved
+            and not self.has_moved(customer.customer_id)
         ):
             vendors = self._engine.vendors_in_range(customer.customer_id)
             if vendors is not None:
@@ -423,7 +430,7 @@ class MUAAProblem:
         Returns:
             The best instance, or ``None`` when no type is affordable.
         """
-        if self._engine is not None and customer_id not in self._moved:
+        if self._engine is not None and not self.has_moved(customer_id):
             hit = self._engine.best_for_pair(
                 customer_id, vendor_id, by=by, max_cost=max_cost
             )
@@ -628,7 +635,19 @@ class MUAAProblem:
         count = len(self._original_locations)
         if not count:
             return 0
-        for customer_id, location in self._original_locations.items():
+        self._restore_locations(self._original_locations)
+        self._original_locations.clear()
+        self._moved.clear()
+        return count
+
+    def _restore_locations(
+        self, originals: Dict[int, Tuple[float, float]]
+    ) -> None:
+        """Put held customers back at their ``originals`` locations,
+        dropping an engine that scored one of them elsewhere."""
+        engine = self._engine
+        stale = False
+        for customer_id, location in originals.items():
             current = self.customers_by_id.get(customer_id)
             if current is None:
                 continue
@@ -638,10 +657,11 @@ class MUAAProblem:
                     self.customers[row] = restored
                     break
             self.customers_by_id[customer_id] = restored
-        self._original_locations.clear()
-        self._moved.clear()
-        self._customer_index = None
-        return count
+            self._customer_index = None
+            if engine is not None and not stale:
+                stale = engine.scored_elsewhere(customer_id, location)
+        if stale:
+            self.drop_engine()
 
     def deactivate_vendors(
         self, vendor_ids: Sequence[int], auto: bool = False

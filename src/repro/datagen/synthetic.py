@@ -19,11 +19,7 @@ import numpy as np
 from repro.core.entities import Customer, Vendor
 from repro.core.problem import MUAAProblem
 from repro.datagen.config import WorkloadConfig, default_ad_types
-from repro.taxonomy.interest import (
-    interest_vector,
-    propagate_score,
-    vendor_vector,
-)
+from repro.taxonomy.interest import propagate_score, vendor_vector
 from repro.taxonomy.tree import Taxonomy
 from repro.taxonomy.foursquare import foursquare_taxonomy
 from repro.utility.activity import ActivityModel
@@ -34,11 +30,6 @@ _CHECKINS_PER_CUSTOMER = (10, 40)
 
 #: Distinct categories a synthetic customer is interested in.
 _CATEGORIES_PER_CUSTOMER = (4, 8)
-
-#: Customer count at which generation switches to the vectorized
-#: sampling path.  Below it the original per-customer loop runs, so
-#: every seed published before the fast path existed stays bit-exact.
-_FAST_THRESHOLD = 50_000
 
 #: Customers per vectorized sampling chunk (bounds the working set of
 #: the interest-matrix assembly to a few hundred MB at any taxonomy).
@@ -75,33 +66,6 @@ def _category_popularity(
     return popularity / popularity.sum()
 
 
-def _sample_interest_vectors(
-    rng: np.random.Generator,
-    taxonomy: Taxonomy,
-    count: int,
-    popularity: np.ndarray,
-) -> List[np.ndarray]:
-    """Sample a check-in history per customer and derive Eq. 1-3 vectors."""
-    leaves = taxonomy.leaves()
-    vectors: List[np.ndarray] = []
-    lo_cat, hi_cat = _CATEGORIES_PER_CUSTOMER
-    lo_chk, hi_chk = _CHECKINS_PER_CUSTOMER
-    for _ in range(count):
-        n_categories = int(rng.integers(lo_cat, hi_cat + 1))
-        categories = rng.choice(
-            len(leaves), size=n_categories, replace=False, p=popularity
-        )
-        n_checkins = int(rng.integers(lo_chk, hi_chk + 1))
-        counts = rng.multinomial(n_checkins, np.ones(n_categories) / n_categories)
-        history = {
-            leaves[int(cat)]: int(count_)
-            for cat, count_ in zip(categories, counts)
-            if count_ > 0
-        }
-        vectors.append(interest_vector(taxonomy, history))
-    return vectors
-
-
 def _propagation_matrix(taxonomy: Taxonomy) -> np.ndarray:
     """Per-leaf Eq. 2-3 propagation columns.
 
@@ -124,11 +88,8 @@ def _interest_matrix_fast(
     count: int,
     popularity: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized equivalent of :func:`_sample_interest_vectors`.
-
-    Same sampling distribution, different RNG call sequence (so it is
-    gated behind :data:`_FAST_THRESHOLD` rather than replacing the
-    loop):
+    """Sample a check-in history per customer and derive its Eq. 1-3
+    interest row, for all ``count`` customers at once:
 
     * category sets via Gumbel-top-k -- the descending order of
       ``log p + Gumbel`` keys enumerates a popularity-weighted sample
@@ -178,7 +139,6 @@ def synthetic_problem(
     taxonomy: Optional[Taxonomy] = None,
     diurnal: bool = True,
     dtype=None,
-    fast: Optional[bool] = None,
 ) -> MUAAProblem:
     """Generate a complete synthetic MUAA instance.
 
@@ -191,11 +151,6 @@ def synthetic_problem(
             ``"float64"``/``"float32"`` or a
             :class:`~repro.engine.DtypePolicy`); entity generation is
             unaffected.
-        fast: Force the vectorized sampling path on or off.  ``None``
-            (default) switches it on from :data:`_FAST_THRESHOLD`
-            customers.  The fast path samples the same distributions
-            but consumes the RNG differently, so small published seeds
-            stay on the bit-exact loop.
 
     Returns:
         A ready-to-solve problem with the taxonomy utility model.
@@ -203,11 +158,9 @@ def synthetic_problem(
     config = config or WorkloadConfig()
     taxonomy = taxonomy or foursquare_taxonomy()
     rng = np.random.default_rng(config.seed)
-    if fast is None:
-        fast = config.n_customers >= _FAST_THRESHOLD
 
     popularity = _category_popularity(rng, len(taxonomy.leaves()))
-    customers = _generate_customers(rng, config, taxonomy, popularity, fast)
+    customers = _generate_customers(rng, config, taxonomy, popularity)
     vendors = _generate_vendors(rng, config, taxonomy, popularity)
 
     activity = (
@@ -228,17 +181,13 @@ def _generate_customers(
     config: WorkloadConfig,
     taxonomy: Taxonomy,
     popularity: np.ndarray,
-    fast: bool = False,
 ) -> List[Customer]:
     m = config.n_customers
     positions = _truncated_gaussian_positions(rng, m, config.customer_std)
     capacities = config.capacity_range.sample_int(rng, m)
     probabilities = config.probability_range.sample(rng, m)
     arrival_hours = rng.uniform(0.0, 24.0, size=m)
-    if fast:
-        interests = _interest_matrix_fast(rng, taxonomy, m, popularity)
-    else:
-        interests = _sample_interest_vectors(rng, taxonomy, m, popularity)
+    interests = _interest_matrix_fast(rng, taxonomy, m, popularity)
     return [
         Customer(
             customer_id=i,

@@ -349,6 +349,19 @@ class ComputeEngine:
             return None
         return float(self.pair_bases[self._seg_start[vendor_id] + off])
 
+    def scored_elsewhere(
+        self, customer_id: int, location: Tuple[float, float]
+    ) -> bool:
+        """Whether the columns hold ``customer_id`` at a location other
+        than ``location`` (so its rows were scored there)."""
+        row = self._arrays.customer_index.get(customer_id)
+        if row is None:
+            return False
+        xy = self._arrays.customer_xy
+        return not np.array_equal(
+            xy[row], np.asarray(location, dtype=xy.dtype)
+        )
+
     def pair_instances(
         self, customer_id: int, vendor_id: int, base: float
     ) -> List[AdInstance]:
@@ -425,15 +438,18 @@ class ComputeEngine:
         if table is None:
             table = self._level_table(by, level)
         k = table[pos]
+        # Read one cell: building the row table is warm()'s job.
         rows = self._util_rows
-        if rows is None:
-            rows = self._util_rows = self.utilities().tolist()
+        utility = (
+            rows[pos][k] if rows is not None
+            else float(self.utilities()[pos, k])
+        )
         ad_type = self._problem.ad_types[k]
         return AdInstance(
             customer_id=customer_id,
             vendor_id=vendor_id,
             type_id=ad_type.type_id,
-            utility=rows[pos][k],
+            utility=utility,
             cost=ad_type.cost,
         )
 

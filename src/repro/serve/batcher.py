@@ -248,13 +248,15 @@ class BatchScorer:
         per_request: List[List[Tuple[int, int, float, float]]] = []
         for request in group:
             cid = request.customer.customer_id
+            # A moved customer's edge rows are stale: re-score scalar.
+            moved = target.has_moved(cid)
             entries: List[Tuple[int, int, float, float]] = []
             for vid in target.valid_vendor_ids(request.customer):
                 budget = budgets[vid]
                 if budget <= 0:
                     continue
                 spent = spend(vid)
-                pos = engine.edge_position(cid, vid)
+                pos = None if moved else engine.edge_position(cid, vid)
                 if pos is None:
                     entries.append((vid, _NO_EDGE, spent, budget))
                 else:
@@ -332,7 +334,10 @@ class BatchScorer:
         ``None``.  Mirrors the O-AFA loop body line for line."""
         spent = self.assignment.spend_for_vendor(vid)
         remaining = budget - spent
-        best = engine.best_for_pair(cid, vid, max_cost=remaining)
+        best = (
+            MISS if target.has_moved(cid)
+            else engine.best_for_pair(cid, vid, max_cost=remaining)
+        )
         if best is MISS:
             best = target.best_instance_for_pair(
                 cid, vid, by="efficiency", max_cost=remaining

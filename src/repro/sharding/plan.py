@@ -395,6 +395,10 @@ class ShardPlan:
                 churn=problem.churn,
                 dtype=problem.dtype_policy,
             )
+            # Moves are global facts, like churn: a view built (or
+            # admitting a mover) after a move still gates and resets it.
+            view._moved = problem._moved
+            view._original_locations = problem._original_locations
             self._views[shard] = view
         return view
 
@@ -522,15 +526,15 @@ class ShardPlan:
     def reset_moves(self) -> int:
         """Roll back run-local customer moves through the plan.
 
-        Restores the full problem and every resident view
-        (:meth:`MUAAProblem.reset_moves`), and removes the memberships
-        customer moves added, so the next run over this plan routes
-        exactly as the first one did.  Returns the number of customers
-        restored in the full problem.
+        Restores the full problem and every resident view, and removes
+        the memberships customer moves added, so the next run over this
+        plan routes exactly as the first one did.  Returns the number of
+        customers restored in the full problem.
         """
-        count = self._problem.reset_moves()
+        # Views share the full problem's move state: restore them first.
         for view in self._views.values():
-            view.reset_moves()
+            view._restore_locations(self._problem._original_locations)
+        count = self._problem.reset_moves()
         if not self._move_additions:
             return count
         touched = set()

@@ -225,7 +225,10 @@ class OnlineSimulator:
 
         Each instance returned by the algorithm is validated against the
         committed state before being applied; infeasible ones are
-        counted and dropped rather than corrupting budgets.
+        counted and dropped rather than corrupting budgets.  After the
+        last arrival, :meth:`OnlineAlgorithm.flush_pending` decides
+        anything the algorithm still buffers, through the same commit
+        rule.
 
         Args:
             algorithm: The online algorithm under test.
@@ -325,6 +328,8 @@ class OnlineSimulator:
                         continue  # customer went inactive; ads dropped
                 for instance in picked:
                     timeline.commit(assignment, instance)
+            for instance in algorithm.flush_pending(problem, assignment):
+                timeline.commit(assignment, instance)
         result.rejected_instances = timeline.rejected_instances
         result.vendors_deactivated = timeline.vendors_deactivated
         result.churn_epoch = problem.churn.epoch

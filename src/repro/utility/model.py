@@ -129,11 +129,12 @@ class TaxonomyUtilityModel(UtilityModel):
             this resolution; 0.25 h is far finer than the diurnal curves
             vary, so the cache is exact for practical purposes.
         min_distance: Clamp for the distance denominator.
-        max_cache_entries: Bound on each internal cache (pair bases and
-            activity-weight vectors).  A cache that would exceed the
-            bound is cleared before inserting -- entries are cheap to
-            recompute, so clear-on-overflow keeps a long streaming run's
-            memory flat without LRU bookkeeping on the hot path.
+        max_cache_entries: Bound on each internal cache (pair
+            preferences and activity-weight vectors).  A cache that
+            would exceed the bound is cleared before inserting --
+            entries are cheap to recompute, so clear-on-overflow keeps a
+            long streaming run's memory flat without LRU bookkeeping on
+            the hot path.
 
     Raises:
         ValueError: On a non-positive resolution or cache bound.
@@ -214,17 +215,15 @@ class TaxonomyUtilityModel(UtilityModel):
         return positive_preference(customer.interests, vendor.tags, weights)
 
     def pair_base(self, customer: Customer, vendor: Vendor) -> float:
+        # Only the preference is cached by ids: a customer can move
+        # mid-run (trajectory scenarios), so the distance is recomputed.
         key = (customer.customer_id, vendor.vendor_id)
-        base = self._pair_cache.get(key)
-        if base is None:
-            dist = clamp_distance(distance(customer, vendor), self._min_distance)
-            base = (
-                customer.view_probability
-                * self.preference(customer, vendor)
-                / dist
-            )
-            self._cache_put(self._pair_cache, key, base)
-        return base
+        preference = self._pair_cache.get(key)
+        if preference is None:
+            preference = self.preference(customer, vendor)
+            self._cache_put(self._pair_cache, key, preference)
+        dist = clamp_distance(distance(customer, vendor), self._min_distance)
+        return customer.view_probability * preference / dist
 
 
 class TabularUtilityModel(UtilityModel):

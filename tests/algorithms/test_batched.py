@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms.batched import BatchedReconciliation, run_batched
+from repro.algorithms.batched import BatchedReconciliation
 from repro.algorithms.online_afa import OnlineAdaptiveFactorAware
 from repro.algorithms.recon import Reconciliation
 from repro.core.validation import validate_assignment
 from repro.datagen.tabular import random_tabular_problem
-from repro.stream.simulator import OnlineSimulator
+from repro.stream.simulator import OnlineAsOffline, OnlineSimulator
 
 
 @pytest.fixture
@@ -24,33 +24,38 @@ def test_batch_size_validation():
         BatchedReconciliation(batch_size=0)
 
 
+def _run(problem, algorithm):
+    return OnlineSimulator(problem).run(algorithm)
+
+
 def test_output_feasible(problem):
-    result = run_batched(problem, BatchedReconciliation(batch_size=8))
+    result = _run(problem, BatchedReconciliation(batch_size=8))
     assert validate_assignment(problem, result.assignment).ok
     assert result.rejected_instances == 0
 
 
 def test_tail_batch_is_flushed(problem):
-    # 25 customers with batch 8 leaves one customer buffered; the driver
-    # must flush it.
+    # 25 customers with batch 8 leaves one customer buffered; the
+    # simulator must flush it before the run closes.
     algorithm = BatchedReconciliation(batch_size=8)
-    result = run_batched(problem, algorithm)
+    result = _run(problem, algorithm)
     assert algorithm.flush_pending(problem, result.assignment) == []
-    # Without the driver's flush the plain simulator strands the tail.
-    algorithm2 = BatchedReconciliation(batch_size=8)
-    stranded = OnlineSimulator(problem).run(algorithm2)
-    assert len(stranded.assignment) <= len(result.assignment)
+    # The offline adapter drives the same simulator, tail included.
+    adapted = OnlineAsOffline(BatchedReconciliation(batch_size=8))
+    assert adapted.solve(problem).instances() == (
+        result.assignment.instances()
+    )
 
 
 def test_batch_one_still_works(problem):
-    result = run_batched(problem, BatchedReconciliation(batch_size=1))
+    result = _run(problem, BatchedReconciliation(batch_size=1))
     assert validate_assignment(problem, result.assignment).ok
     assert len(result.assignment) > 0
 
 
 def test_whole_stream_as_one_batch_matches_recon(problem):
     """With the batch spanning the full stream, the algorithm is RECON."""
-    result = run_batched(
+    result = _run(
         problem,
         BatchedReconciliation(batch_size=len(problem.customers), seed=0),
     )
@@ -63,8 +68,8 @@ def test_whole_stream_as_one_batch_matches_recon(problem):
 def test_larger_batches_do_not_hurt_much(problem):
     """Batching trades latency for utility: the full-stream batch
     should be at least as good as tiny batches (up to noise)."""
-    small = run_batched(problem, BatchedReconciliation(batch_size=2, seed=0))
-    full = run_batched(
+    small = _run(problem, BatchedReconciliation(batch_size=2, seed=0))
+    full = _run(
         problem,
         BatchedReconciliation(batch_size=len(problem.customers), seed=0),
     )
@@ -79,5 +84,5 @@ def test_batched_vs_oafa(problem):
     oafa = OnlineSimulator(problem).run(
         OnlineAdaptiveFactorAware(gamma_min=bounds.gamma_min, g=bounds.g)
     )
-    batched = run_batched(problem, BatchedReconciliation(batch_size=8))
+    batched = _run(problem, BatchedReconciliation(batch_size=8))
     assert batched.total_utility >= oafa.total_utility * 0.7

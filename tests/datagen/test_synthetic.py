@@ -96,29 +96,54 @@ class TestWorkloadUsability:
             assert validate_assignment(problem, result.assignment).ok
 
 
-class TestFastSamplingPath:
-    """The vectorized 50K+ interest sampler vs the bit-exact loop."""
+def _legacy_interest_vectors(rng, taxonomy, count, popularity):
+    """Reference sampler: one explicit check-in history per customer,
+    turned into an interest vector by Eqs. 1-3 (``interest_vector``).
 
-    def test_legacy_path_is_bit_stable_below_threshold(self):
-        """``fast=None`` below the threshold must be the original loop:
-        forcing ``fast=False`` changes nothing, bit for bit."""
-        config = WorkloadConfig(n_customers=80, n_vendors=10, seed=3)
-        default = synthetic_problem(config)
-        legacy = synthetic_problem(config, fast=False)
-        for a, b in zip(default.customers, legacy.customers):
-            assert a.location == b.location
-            assert np.array_equal(a.interests, b.interests)
+    The per-customer loop the vectorized generator replaced; it is kept
+    here as the distributional reference the generator is checked
+    against."""
+    from repro.datagen.synthetic import (
+        _CATEGORIES_PER_CUSTOMER,
+        _CHECKINS_PER_CUSTOMER,
+    )
+    from repro.taxonomy.interest import interest_vector
+
+    leaves = taxonomy.leaves()
+    vectors = []
+    lo_cat, hi_cat = _CATEGORIES_PER_CUSTOMER
+    lo_chk, hi_chk = _CHECKINS_PER_CUSTOMER
+    for _ in range(count):
+        n_categories = int(rng.integers(lo_cat, hi_cat + 1))
+        categories = rng.choice(
+            len(leaves), size=n_categories, replace=False, p=popularity
+        )
+        n_checkins = int(rng.integers(lo_chk, hi_chk + 1))
+        counts = rng.multinomial(
+            n_checkins, np.ones(n_categories) / n_categories
+        )
+        history = {
+            leaves[int(cat)]: int(count_)
+            for cat, count_ in zip(categories, counts)
+            if count_ > 0
+        }
+        vectors.append(interest_vector(taxonomy, history))
+    return vectors
+
+
+class TestFastSamplingPath:
+    """The vectorized interest sampler vs the per-customer reference."""
 
     def test_fast_path_is_deterministic(self):
         config = WorkloadConfig(n_customers=80, n_vendors=10, seed=3)
-        a = synthetic_problem(config, fast=True)
-        b = synthetic_problem(config, fast=True)
+        a = synthetic_problem(config)
+        b = synthetic_problem(config)
         for ca, cb in zip(a.customers, b.customers):
             assert np.array_equal(ca.interests, cb.interests)
 
     def test_fast_interests_are_valid_eq1_vectors(self):
         config = WorkloadConfig(n_customers=200, n_vendors=10, seed=7)
-        problem = synthetic_problem(config, fast=True)
+        problem = synthetic_problem(config)
         for c in problem.customers:
             assert c.interests.min() >= 0.0
             assert c.interests.max() == pytest.approx(1.0)
@@ -126,11 +151,20 @@ class TestFastSamplingPath:
     def test_fast_path_matches_legacy_statistics(self):
         """Same sampling distributions, different RNG call order: the
         marginal statistics must agree, the bits need not."""
+        from repro.datagen.synthetic import _category_popularity
+        from repro.taxonomy.foursquare import foursquare_taxonomy
+
         config = WorkloadConfig(n_customers=2000, n_vendors=5, seed=11)
-        fast = synthetic_problem(config, fast=True)
-        slow = synthetic_problem(config, fast=False)
+        fast = synthetic_problem(config)
+        # The generator draws category popularity first, so the same
+        # seed gives the reference the same popularity.
+        taxonomy = foursquare_taxonomy()
+        rng = np.random.default_rng(config.seed)
+        popularity = _category_popularity(rng, len(taxonomy.leaves()))
         f = np.stack([c.interests for c in fast.customers])
-        s = np.stack([c.interests for c in slow.customers])
+        s = np.stack(_legacy_interest_vectors(
+            rng, taxonomy, config.n_customers, popularity
+        ))
         assert f.mean() == pytest.approx(s.mean(), rel=0.1)
         assert (f > 0).mean() == pytest.approx((s > 0).mean(), rel=0.1)
 
@@ -143,7 +177,7 @@ class TestFastSamplingPath:
 
         config = WorkloadConfig(n_customers=300, n_vendors=10, seed=13)
         monkeypatch.setattr(synth, "_FAST_CHUNK", 128)
-        chunked = synthetic_problem(config, fast=True)
+        chunked = synthetic_problem(config)
         assert len(chunked.customers) == 300
         for c in chunked.customers:
             assert c.interests.max() == pytest.approx(1.0)

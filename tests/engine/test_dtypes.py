@@ -132,6 +132,27 @@ class TestFloat32Compact:
             plan.release(shard)
 
 
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_cold_point_lookup_reads_one_cell(dtype):
+    """Before ``warm()``, ``best_for_pair`` reads one utility without
+    building the E x K row table (demand paging), bitwise equal to the
+    warmed table's entry at every affordability level."""
+    _, engine = _engine(dtype)
+    pairs = list(engine.edge_index)[:200]
+    costs = [None, 0.5, 1.0, 2.0, 4.0]
+    cold = [
+        engine.best_for_pair(cid, vid, max_cost=cost)
+        for cid, vid in pairs for cost in costs
+    ]
+    assert engine._util_rows is None
+    engine.warm()
+    assert engine._util_rows is not None
+    assert [
+        engine.best_for_pair(cid, vid, max_cost=cost)
+        for cid, vid in pairs for cost in costs
+    ] == cold
+
+
 class TestBlockedEnumerationParity:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_blocked_matches_dense_bitwise(self, monkeypatch, dtype):

@@ -203,3 +203,64 @@ class TestServeMovesParity:
         assert result.utility == stream.total_utility
         # Both runs rolled their moves back.
         assert not problem.moved_customer_ids
+
+    @pytest.mark.parametrize("path", ["stream", "serve"])
+    @pytest.mark.parametrize("shards", [1, 4], ids=["unsharded", "4-shard"])
+    def test_moved_customers_are_scored_where_they_are(
+        self, shards, path, monkeypatch
+    ):
+        """Oracle: every instance committed to a moved customer carries
+        the scalar Eq. 4 utility at the customer's location at commit
+        time, and that location is in the vendor's range."""
+        from repro.core.entities import distance
+        from repro.engine.sharded import ShardedEngine
+        from repro.serve import ReplayDriver, ServeConfig, build_schedule
+        from repro.stream.simulator import OnlineSimulator
+        from repro.stream.timeline import COMMITTED, Timeline
+
+        committed = []
+        commit = Timeline.commit
+
+        def spy(timeline, assignment, instance):
+            outcome = commit(timeline, assignment, instance)
+            cid = instance.customer_id
+            if (
+                outcome == COMMITTED
+                and cid in timeline.problem.moved_customer_ids
+            ):
+                committed.append(
+                    (instance, timeline.problem.customers_by_id[cid])
+                )
+            return outcome
+
+        monkeypatch.setattr(Timeline, "commit", spy)
+        problem, moves, algorithm, plan = self._setup(shards)
+        if path == "stream":
+            OnlineSimulator(problem).run(
+                algorithm,
+                measure_latency=False,
+                warm_engine=True,
+                shard_plan=plan,
+                moves=moves,
+            )
+        else:
+            ReplayDriver(
+                problem,
+                algorithm,
+                ServeConfig(max_batch=8, queue_depth=1000),
+                shard_plan=plan,
+                sharded_engine=(
+                    ShardedEngine.create(plan) if plan is not None else None
+                ),
+                moves=moves,
+            ).run(build_schedule(problem.customers, rate=500.0, seed=7))
+        assert committed
+        # A fresh model: no pair base cached during the run.
+        oracle = synthetic_problem(self.MARKET).utility_model
+        for instance, customer in committed:
+            vendor = problem.vendors_by_id[instance.vendor_id]
+            ad_type = problem.ad_types_by_id[instance.type_id]
+            assert distance(customer, vendor) <= vendor.radius
+            assert instance.utility == oracle.utility(
+                customer, vendor, ad_type
+            )

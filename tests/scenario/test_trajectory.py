@@ -87,6 +87,30 @@ class TestMoveCustomer:
         assert restored.location == tuple(customer.location)
         assert problem.location_epoch == 1  # epoch is monotonic
 
+    def test_scalar_model_rescores_a_moved_pair(self):
+        """The scalar model caches per-pair work by ids; a move must
+        still change the pair's Eq. 4 base, which divides by distance."""
+        problem = _problem()
+        model = problem.utility_model
+        customer, vendor = next(
+            (c, v)
+            for c in problem.customers
+            for v in problem.vendors
+            if model.pair_base(c, v) > 0  # cached at the first location
+        )
+        halfway = tuple(
+            (a + b) / 2 for a, b in zip(customer.location, vendor.location)
+        )
+        assert problem.move_customer(customer.customer_id, halfway)
+        moved = problem.customers_by_id[customer.customer_id]
+        fresh = _problem().utility_model
+        assert fresh.pair_base(moved, vendor) != fresh.pair_base(
+            customer, vendor
+        )
+        assert model.pair_base(moved, vendor) == fresh.pair_base(
+            moved, vendor
+        )
+
     def test_reset_moves_restores_first_seen_location(self):
         problem = _problem()
         cid = problem.customers[0].customer_id

@@ -187,6 +187,95 @@ class TestViewsAndRouting:
             assert f"shard {shard}:" in card
 
 
+class TestMovedViews:
+    """Shard views read the full problem's move state, so views that
+    missed the move itself still gate the mover and restore it."""
+
+    @staticmethod
+    def _member(problem, plan):
+        """A customer with a member shard, and that shard."""
+        for customer in problem.customers:
+            members = plan.shards_of_customer(customer.customer_id)
+            if members:
+                return customer, members[0]
+        raise AssertionError("no customer has a member shard")
+
+    def test_view_built_after_a_move_is_reset(self):
+        problem = _problem()
+        plan = ShardPlan.build(problem, shards=4)
+        customer, shard = self._member(problem, plan)
+        cid = customer.customer_id
+        original = tuple(customer.location)
+        moved = (original[0] + 0.01, original[1])
+        assert plan.move_customer(cid, moved)
+        view = plan.problem_for(shard)  # built after the move
+        assert view.customers_by_id[cid].location == moved
+        plan.reset_moves()
+        assert view.customers_by_id[cid].location == original
+        assert not view.has_moved(cid)
+
+    def test_views_that_missed_the_move_gate_the_mover(self):
+        problem = _problem()
+        plan = ShardPlan.build(problem, shards=4)
+        customer, shard = self._member(problem, plan)
+        cid = customer.customer_id
+        location = customer.location
+        assert plan.move_customer(cid, (location[0] + 0.01, location[1]))
+        assert plan.problem_for(shard).has_moved(cid)
+        assert all(
+            plan.problem_for(s).has_moved(cid)
+            for s in plan.shards_of_customer(cid)
+        )
+
+    def test_view_admitting_a_mover_is_reset(self):
+        problem = _problem()
+        plan = ShardPlan.build(problem, shards=4)
+        for shard in range(plan.n_shards):
+            plan.problem_for(shard)
+        cid = problem.customers[0].customer_id
+        original = tuple(problem.customers_by_id[cid].location)
+        before = set(plan.shards_of_customer(cid))
+        # Onto a vendor of a shard the customer is not a member of.
+        target = next(
+            vid
+            for shard in range(plan.n_shards) if shard not in before
+            for vid in plan.vendor_ids(shard)
+        )
+        assert plan.move_customer(
+            cid, problem.vendors_by_id[target].location
+        )
+        admitted = set(plan.shards_of_customer(cid)) - before
+        assert plan.shard_of_vendor[target] in admitted
+        plan.reset_moves()
+        for shard in admitted:
+            view = plan.problem_for(shard)
+            assert view.customers_by_id[cid].location == original
+            assert not view.has_moved(cid)
+
+    def test_engine_scored_during_a_move_is_not_reused(self):
+        """A view engine warmed while a member was moved holds rows at
+        the moved location; after the reset the view must decide that
+        customer exactly like a view that never saw the move."""
+        problem = _problem()
+        plan = ShardPlan.build(problem, shards=4)
+        customer, shard = self._member(problem, plan)
+        cid = customer.customer_id
+        original = tuple(customer.location)
+        assert plan.move_customer(cid, (original[0] + 0.01, original[1]))
+        plan.problem_for(shard).warm_utilities()
+        plan.reset_moves()
+        view = plan.problem_for(shard)
+        fresh = ShardPlan.build(_problem(), shards=4).problem_for(shard)
+        restored = view.customers_by_id[cid]
+        vendors = fresh.valid_vendor_ids(fresh.customers_by_id[cid])
+        assert vendors
+        assert view.valid_vendor_ids(restored) == vendors
+        for vid in vendors:
+            assert view.best_instance_for_pair(cid, vid) == (
+                fresh.best_instance_for_pair(cid, vid)
+            )
+
+
 class TestMetadata:
     def test_round_trip(self):
         problem = _problem()

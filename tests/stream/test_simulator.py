@@ -7,9 +7,13 @@ from typing import List
 import pytest
 
 from repro.algorithms.base import OnlineAlgorithm
+from repro.algorithms.batched import BatchedReconciliation
 from repro.algorithms.nearest import NearestVendor
 from repro.core.assignment import AdInstance
 from repro.core.validation import validate_assignment
+from repro.datagen.config import ParameterRange, WorkloadConfig
+from repro.datagen.synthetic import synthetic_problem
+from repro.stream.arrivals import by_arrival_time
 from repro.stream.simulator import OnlineAsOffline, OnlineSimulator
 from tests.conftest import random_tabular_problem
 
@@ -169,3 +173,50 @@ class TestOnlineAsOffline:
         extras = OnlineAsOffline(NearestVendor()).run(problem).extras
         assert "retries" not in extras
         assert extras["customers_lost"] == 0.0
+
+
+class TestBufferedTail:
+    """An algorithm that buffers arrivals has its last partial batch
+    decided and committed through the timeline before the run closes."""
+
+    # Budgets large enough that vendors can still pay when the last
+    # partial batch is decided, so the tail commits instances.
+    MARKET = WorkloadConfig(
+        n_customers=300,
+        n_vendors=40,
+        seed=1,
+        radius_range=ParameterRange(0.1, 0.2),
+        budget_range=ParameterRange(50.0, 100.0),
+    )
+
+    @staticmethod
+    def _by_hand(problem, batch_size):
+        """Every arrival, then the end-of-stream flush, added directly;
+        returns the instances and how many the flush added."""
+        algorithm = BatchedReconciliation(batch_size=batch_size)
+        algorithm.reset(problem)
+        assignment = problem.new_assignment()
+        for customer in by_arrival_time(problem.customers):
+            for instance in algorithm.process_customer(
+                problem, customer, assignment
+            ):
+                assignment.add(instance, strict=False)
+        tail = algorithm.flush_pending(problem, assignment)
+        for instance in tail:
+            assignment.add(instance, strict=False)
+        return assignment.instances(), len(tail)
+
+    def test_adapter_commits_the_tail_and_counts_it(self):
+        from repro.obs.recorder import observed
+
+        problem = synthetic_problem(self.MARKET)
+        expected, tail = self._by_hand(problem, 64)
+        assert tail > 0
+        algorithm = BatchedReconciliation(batch_size=64)
+        with observed() as rec:
+            assignment = OnlineAsOffline(algorithm).solve(problem)
+        assert assignment.instances() == expected
+        assert algorithm.flush_pending(problem, assignment) == []
+        counters = rec.metrics.snapshot()["counters"]
+        assert counters["stream.budget_commits"] == len(assignment)
+        assert validate_assignment(problem, assignment).ok
