@@ -121,3 +121,14 @@ class FallbackChain(OnlineAlgorithm):
             return picked
         assert last_error is not None
         raise last_error
+
+    def flush_pending(
+        self, problem: MUAAProblem, assignment: Assignment
+    ) -> List[AdInstance]:
+        """The primary tier's buffered decisions (only the primary
+        buffers customers across calls in the chains this repo
+        builds)."""
+        primary = self.tiers[0]
+        return primary.algorithm.flush_pending(
+            primary.problem or problem, assignment
+        )

@@ -403,6 +403,21 @@ class ResilientBroker:
                         jitter_rng,
                     ) == _FAILED:
                         stats.deliveries_failed += 1
+            # Customers a buffering primary still holds are decided
+            # after the last arrival, as in the stream.
+            try:
+                flushed = chain.flush_pending(guarded_problem, assignment)
+            except ResilienceError as exc:
+                flushed = []
+                stats.decisions_abandoned += 1
+                rec.count("broker.decisions_abandoned")
+                logger.warning("end-of-stream flush abandoned (%s)", exc)
+            for instance in flushed:
+                if self._commit(
+                    timeline, instance, assignment, injector, stats,
+                    jitter_rng,
+                ) == _FAILED:
+                    stats.deliveries_failed += 1
 
         result.rejected_instances = timeline.rejected_instances
         stats.duplicates_suppressed = timeline.duplicates_suppressed

@@ -366,15 +366,34 @@ class BatchScorer:
                 committed.append(instance)
                 touched.add(instance.vendor_id)
                 stats.utility += instance.utility
+        self._sync_counters()
+        stats.served += 1
+        results[request.request_id] = (tuple(committed), shard)
+
+    def _sync_counters(self) -> None:
+        """Copy the timeline's commit counters into :attr:`stats`."""
+        stats = self.stats
+        timeline = self.timeline
         stats.commits = timeline.budget_commits
         stats.rejected_instances = timeline.rejected_instances
         stats.duplicates_suppressed = timeline.duplicates_suppressed
         stats.vendors_deactivated = timeline.vendors_deactivated
-        stats.served += 1
-        results[request.request_id] = (tuple(committed), shard)
 
     def finish(self) -> None:
-        """End-of-episode cleanup: :meth:`Timeline.close` rolls back
-        automatic deactivations and moves so the problem object stays
-        reusable."""
-        self.timeline.close()
+        """End of episode: commit what a buffering algorithm still
+        holds (:meth:`OnlineAlgorithm.flush_pending`, as the stream
+        does after its last arrival), then :meth:`Timeline.close` rolls
+        back automatic deactivations and moves so the problem object
+        stays reusable."""
+        try:
+            for instance in self._algorithm.flush_pending(
+                self._problem, self.assignment
+            ):
+                if (
+                    self.timeline.commit(self.assignment, instance)
+                    == COMMITTED
+                ):
+                    self.stats.utility += instance.utility
+            self._sync_counters()
+        finally:
+            self.timeline.close()
