@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.spatial.geometry import Point, squared_distance
+from repro.spatial.geometry import Point
 
 
 class GridIndex:
@@ -112,10 +112,18 @@ class GridIndex:
         cx_hi = int(math.floor((center[0] + radius) / self._cell_size))
         cy_lo = int(math.floor((center[1] - radius) / self._cell_size))
         cy_hi = int(math.floor((center[1] + radius) / self._cell_size))
+        # squared_distance(point, center) <= r2, inlined: this loop is
+        # every scalar range query's (and every shard plan build's) cost.
+        px, py = center[0], center[1]
+        points = self._points
+        cells = self._cells
         for cx in range(cx_lo, cx_hi + 1):
             for cy in range(cy_lo, cy_hi + 1):
-                for item_id in self._cells.get((cx, cy), ()):
-                    if squared_distance(self._points[item_id], center) <= r2:
+                for item_id in cells.get((cx, cy), ()):
+                    point = points[item_id]
+                    dx = point[0] - px
+                    dy = point[1] - py
+                    if dx * dx + dy * dy <= r2:
                         results.append(item_id)
         return results
 
